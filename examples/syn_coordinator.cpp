@@ -1,10 +1,12 @@
 // syn_coordinator: the fleet-level dataset-generation daemon.
 //
 //   syn_coordinator --socket=PATH --worker=ADDR [--worker=ADDR ...]
-//                   [--tcp=PORT] [--node=NAME] [--jobs=N]
 //                   [--hb-ms=T] [--hb-miss=K] [--connect-timeout-ms=T]
-//                   [--max-attempts=N] [--max-queued=N] [--max-active=N]
-//                   [--max-total-queued=N] [--quiet]
+//                   [--max-attempts=N]
+//                   [--tcp=PORT] [--node=NAME] [--jobs=N] [--quiet]
+//                   [--max-queued=N] [--max-active=N] [--max-total-queued=N]
+//                   [--max-designs=N] [--max-out-bytes=B]
+//                   [--gc-retain=K] [--gc-ttl-ms=T]
 //
 // Speaks the exact NDJSON grammar syn_daemon speaks (SUBMIT / STATUS /
 // LIST / CANCEL / STREAM / METRICS / PING / SHUTDOWN, plus WORKERS for
@@ -15,104 +17,40 @@
 // paths; a heartbeat loop (--hb-ms interval, --hb-miss consecutive
 // misses to evict) keeps the membership live, and a sub-range whose
 // worker dies is re-dispatched to a surviving worker, resuming from the
-// part checkpoint. Drive it with synctl --fleet. Runs until SHUTDOWN or
-// SIGINT/SIGTERM.
-#include <signal.h>
-#include <unistd.h>
-
+// part checkpoint. The second block of flags is syn_daemon's: the same
+// admission quotas and terminal-job GC apply to fleet jobs. Drive it
+// with synctl --fleet. Runs until SHUTDOWN or SIGINT/SIGTERM.
+#include <chrono>
 #include <cstdlib>
-#include <exception>
-#include <iostream>
 #include <string>
-#include <thread>
 
 #include "fleet/coordinator.hpp"
-
-namespace {
-
-int usage() {
-  std::cerr << "usage: syn_coordinator --socket=PATH --worker=ADDR"
-               " [--worker=ADDR ...]\n"
-               "       [--tcp=PORT] [--node=NAME] [--jobs=N] [--hb-ms=T]"
-               " [--hb-miss=K]\n"
-               "       [--connect-timeout-ms=T] [--max-attempts=N]"
-               " [--max-queued=N]\n"
-               "       [--max-active=N] [--max-total-queued=N] [--quiet]\n";
-  return 1;
-}
-
-std::size_t parse_size(const std::string& arg, std::size_t prefix) {
-  return static_cast<std::size_t>(
-      std::strtoull(arg.c_str() + prefix, nullptr, 10));
-}
-
-}  // namespace
+#include "server_main.hpp"
 
 int main(int argc, char** argv) {
-  syn::fleet::CoordinatorConfig config;
-  config.log = &std::cout;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      config.socket_path = arg.substr(9);
-    } else if (arg.rfind("--worker=", 0) == 0) {
-      config.workers.push_back(arg.substr(9));
-    } else if (arg.rfind("--tcp=", 0) == 0) {
-      config.tcp_port = std::atoi(arg.c_str() + 6);
-    } else if (arg.rfind("--node=", 0) == 0) {
-      config.node_id = arg.substr(7);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      const int jobs = std::atoi(arg.c_str() + 7);
-      if (jobs < 1) {
-        std::cerr << "--jobs must be >= 1\n";
-        return 1;
-      }
-      config.max_concurrent = static_cast<std::size_t>(jobs);
-    } else if (arg.rfind("--hb-ms=", 0) == 0) {
-      config.hb_interval =
-          std::chrono::milliseconds(std::strtoll(arg.c_str() + 8, nullptr, 10));
-    } else if (arg.rfind("--hb-miss=", 0) == 0) {
-      config.hb_miss_limit = parse_size(arg, 10);
-    } else if (arg.rfind("--connect-timeout-ms=", 0) == 0) {
-      config.connect_timeout_ms = std::atoi(arg.c_str() + 21);
-    } else if (arg.rfind("--max-attempts=", 0) == 0) {
-      config.max_attempts = parse_size(arg, 15);
-    } else if (arg.rfind("--max-queued=", 0) == 0) {
-      config.quotas.max_queued_per_client = parse_size(arg, 13);
-    } else if (arg.rfind("--max-active=", 0) == 0) {
-      config.quotas.max_active_per_client = parse_size(arg, 13);
-    } else if (arg.rfind("--max-total-queued=", 0) == 0) {
-      config.quotas.max_total_queued = parse_size(arg, 19);
-    } else if (arg == "--quiet") {
-      config.log = nullptr;
-    } else {
-      return usage();
-    }
-  }
-  if (config.socket_path.empty() || config.workers.empty()) return usage();
-
-  try {
-    // Same signal discipline as syn_daemon: consume stop signals on a
-    // dedicated sigwait thread so no async handler touches daemon state.
-    sigset_t stop_signals;
-    sigemptyset(&stop_signals);
-    sigaddset(&stop_signals, SIGINT);
-    sigaddset(&stop_signals, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
-
-    syn::fleet::Coordinator coordinator(config);
-    coordinator.start();
-    std::thread signal_waiter([&coordinator, &stop_signals] {
-      int signal = 0;
-      sigwait(&stop_signals, &signal);
-      coordinator.request_stop(/*drain=*/true);
-    });
-    coordinator.serve();
-    ::kill(::getpid(), SIGTERM);
-    signal_waiter.join();
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "syn_coordinator: " << e.what() << "\n";
-    return 1;
-  }
+  using syn::examples::flag_value;
+  using syn::examples::to_size;
+  return syn::examples::run_server<syn::fleet::Coordinator>(
+      "syn_coordinator",
+      "usage: syn_coordinator --socket=PATH --worker=ADDR [--worker=ADDR ...]\n"
+      "       [--hb-ms=T] [--hb-miss=K] [--connect-timeout-ms=T]"
+      " [--max-attempts=N]\n",
+      argc, argv, syn::fleet::CoordinatorConfig{},
+      [](const std::string& arg, syn::fleet::CoordinatorConfig& config) {
+        if (const char* v = flag_value(arg, "--worker=")) {
+          config.workers.emplace_back(v);
+        } else if (const char* v = flag_value(arg, "--hb-ms=")) {
+          config.hb_interval =
+              std::chrono::milliseconds(std::strtoll(v, nullptr, 10));
+        } else if (const char* v = flag_value(arg, "--hb-miss=")) {
+          config.hb_miss_limit = to_size(v);
+        } else if (const char* v = flag_value(arg, "--connect-timeout-ms=")) {
+          config.connect_timeout_ms = std::atoi(v);
+        } else if (const char* v = flag_value(arg, "--max-attempts=")) {
+          config.max_attempts = to_size(v);
+        } else {
+          return false;
+        }
+        return true;
+      });
 }

@@ -11,115 +11,25 @@
 // SUBMITs get {"ok":false,"code":"quota_exceeded"}. --gc-retain /
 // --gc-ttl-ms bound terminal-job metadata: beyond K retained terminal
 // jobs per client (or T ms of age) a job's record is evicted and STATUS
-// answers {"ok":false,"code":"expired"}.
+// answers {"ok":false,"code":"expired"}. --node names the daemon in
+// HELLO/HEARTBEAT replies (fleet membership is keyed on it).
 //
 // Listens on a Unix-domain socket (plus optional loopback TCP) for
 // newline-delimited JSON requests — SUBMIT / STATUS / LIST / CANCEL /
 // STREAM / METRICS / PING / SHUTDOWN — and runs submitted dataset jobs
-// through the
-// same GenerationService + ShardedDiskSink pipeline as a local
-// generate_dataset run: same sharded layout, same manifests, same
+// through the same GenerationService + ShardedDiskSink pipeline as a
+// local generate_dataset run: same sharded layout, same manifests, same
 // checkpointed resume, byte-identical output. Drive it with synctl (or
 // generate_dataset --daemon=PATH). Runs until a SHUTDOWN request or
 // SIGINT/SIGTERM; both drain by default (SHUTDOWN can cancel instead).
-#include <signal.h>
-#include <unistd.h>
-
-#include <cstdlib>
-#include <exception>
-#include <iostream>
 #include <string>
-#include <thread>
 
 #include "server/daemon.hpp"
-
-namespace {
-
-int usage() {
-  std::cerr << "usage: syn_daemon --socket=PATH [--tcp=PORT] [--jobs=N]"
-               " [--quiet]\n"
-               "       [--max-queued=N] [--max-active=N]"
-               " [--max-total-queued=N]\n"
-               "       [--max-designs=N] [--max-out-bytes=B]"
-               " [--gc-retain=K] [--gc-ttl-ms=T]\n";
-  return 1;
-}
-
-/// "--flag=" value as a non-negative size (0 = unlimited).
-std::size_t parse_size(const std::string& arg, std::size_t prefix) {
-  return static_cast<std::size_t>(
-      std::strtoull(arg.c_str() + prefix, nullptr, 10));
-}
-
-}  // namespace
+#include "server_main.hpp"
 
 int main(int argc, char** argv) {
-  syn::server::DaemonConfig config;
-  config.log = &std::cout;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      config.socket_path = arg.substr(9);
-    } else if (arg.rfind("--tcp=", 0) == 0) {
-      config.tcp_port = std::atoi(arg.c_str() + 6);
-    } else if (arg.rfind("--node=", 0) == 0) {
-      config.node_id = arg.substr(7);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      const int jobs = std::atoi(arg.c_str() + 7);
-      if (jobs < 1) {
-        std::cerr << "--jobs must be >= 1\n";
-        return 1;
-      }
-      config.max_concurrent = static_cast<std::size_t>(jobs);
-    } else if (arg.rfind("--max-queued=", 0) == 0) {
-      config.quotas.max_queued_per_client = parse_size(arg, 13);
-    } else if (arg.rfind("--max-active=", 0) == 0) {
-      config.quotas.max_active_per_client = parse_size(arg, 13);
-    } else if (arg.rfind("--max-total-queued=", 0) == 0) {
-      config.quotas.max_total_queued = parse_size(arg, 19);
-    } else if (arg.rfind("--max-designs=", 0) == 0) {
-      config.max_designs_per_job = parse_size(arg, 14);
-    } else if (arg.rfind("--max-out-bytes=", 0) == 0) {
-      config.max_out_bytes = std::strtoull(arg.c_str() + 16, nullptr, 10);
-    } else if (arg.rfind("--gc-retain=", 0) == 0) {
-      config.gc_retain = parse_size(arg, 12);
-    } else if (arg.rfind("--gc-ttl-ms=", 0) == 0) {
-      config.gc_ttl = std::chrono::milliseconds(
-          std::strtoll(arg.c_str() + 12, nullptr, 10));
-    } else if (arg == "--quiet") {
-      config.log = nullptr;
-    } else {
-      return usage();
-    }
-  }
-  if (config.socket_path.empty()) return usage();
-
-  try {
-    // Signals are consumed synchronously on a dedicated sigwait thread —
-    // a std::signal handler could not safely touch the daemon's mutexes
-    // and condition variables. Block first, before any thread spawns, so
-    // every daemon thread inherits the mask.
-    sigset_t stop_signals;
-    sigemptyset(&stop_signals);
-    sigaddset(&stop_signals, SIGINT);
-    sigaddset(&stop_signals, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
-
-    syn::server::Daemon daemon(config);
-    daemon.start();
-    std::thread signal_waiter([&daemon, &stop_signals] {
-      int signal = 0;
-      sigwait(&stop_signals, &signal);
-      daemon.request_stop(/*drain=*/true);
-    });
-    daemon.serve();
-    // serve() may have ended via a protocol SHUTDOWN instead of a signal;
-    // nudge the waiter out of sigwait (request_stop is idempotent).
-    ::kill(::getpid(), SIGTERM);
-    signal_waiter.join();
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "syn_daemon: " << e.what() << "\n";
-    return 1;
-  }
+  return syn::examples::run_server<syn::server::Daemon>(
+      "syn_daemon", "usage: syn_daemon --socket=PATH\n", argc, argv,
+      syn::server::DaemonConfig{},
+      [](const std::string&, syn::server::DaemonConfig&) { return false; });
 }

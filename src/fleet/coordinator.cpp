@@ -1,27 +1,17 @@
 #include "fleet/coordinator.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
-
-#include "server/socket_io.hpp"
-#include "service/generation_service.hpp"
 
 namespace syn::fleet {
 
-using server::EventLog;
 using server::JobScheduler;
 using server::JobSpec;
-using server::JobState;
-using server::Request;
-using server::StreamFilter;
 using util::Json;
 
 namespace {
@@ -36,18 +26,6 @@ std::string sanitize_label(const std::string& label) {
   return out;
 }
 
-/// Same prefix classification the worker daemon uses for STREAM filters
-/// (event lines are Json dumps with "event" as the first key).
-bool stream_event_passes(const std::string& line, StreamFilter filter) {
-  if (filter == StreamFilter::kAll) return true;
-  const auto is_kind = [&](const char* kind) {
-    return line.rfind(std::string("{\"event\":\"") + kind + "\"", 0) == 0;
-  };
-  if (is_kind("end")) return true;
-  return filter == StreamFilter::kRecords ? is_kind("record")
-                                          : is_kind("checkpoint");
-}
-
 std::uint64_t u64_field(const Json& json, const char* key) {
   const Json* value = json.find(key);
   return value != nullptr && value->is_number() ? value->u64() : 0;
@@ -56,156 +34,51 @@ std::uint64_t u64_field(const Json& json, const char* key) {
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
-    : config_(std::move(config)), registry_(config_.hb_miss_limit) {
-  if (config_.socket_path.empty()) {
-    throw std::invalid_argument("Coordinator: socket_path is required");
-  }
+    : Role("syn_coordinator", "coordinator", "records_forwarded"),
+      config_(std::move(config)),
+      registry_(config_.hb_miss_limit),
+      server_(config_, *this) {
   if (config_.workers.empty()) {
     throw std::invalid_argument("Coordinator: at least one worker endpoint "
                                 "is required");
-  }
-  if (config_.node_id.empty()) {
-    config_.node_id = "coordinator-" + std::to_string(::getpid());
   }
   for (const std::string& endpoint : config_.workers) {
     registry_.add(endpoint);  // throws std::invalid_argument on bad syntax
   }
 
-  metrics_.declare_track("hb_rtt_ms", 0.0, 2'000.0, 400);
-  metrics_.declare_track("fleet_subjob_ms", 0.0, 300'000.0, 600);
-  metrics_.register_gauge("workers_known", [this] {
-    return static_cast<std::int64_t>(registry_.size());
-  });
-  metrics_.register_gauge("workers_live", [this] {
-    return static_cast<std::int64_t>(registry_.live_count());
-  });
-  metrics_.register_gauge("workers_suspect", [this] {
-    return static_cast<std::int64_t>(registry_.suspect_count());
-  });
-  metrics_.register_gauge("workers_dead", [this] {
-    return static_cast<std::int64_t>(registry_.dead_count());
-  });
-  metrics_.register_gauge("workers_evicted", [this] {
-    return static_cast<std::int64_t>(registry_.evictions());
-  });
-  metrics_.register_gauge("workers_reregistered", [this] {
-    return static_cast<std::int64_t>(registry_.reregistrations());
-  });
-  metrics_.register_gauge("connections", [this] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::int64_t>(connections_.size());
-  });
-  metrics_.register_gauge("event_logs", [this] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::int64_t>(logs_.size());
-  });
-
-  JobScheduler::Options scheduler_options;
-  scheduler_options.max_concurrent = config_.max_concurrent;
-  scheduler_options.quotas = config_.quotas;
-  scheduler_options.metrics = &metrics_;
-  scheduler_options.on_terminal = [this](const JobScheduler::Info& info) {
-    end_event_log(info.id, info.state, info.error);
-    log_line(info.id + " " + to_string(info.state) +
-             (info.error.empty() ? "" : ": " + info.error));
+  server::MetricsRegistry& metrics = server_.metrics();
+  metrics.declare_track("hb_rtt_ms", 0.0, 2'000.0, 400);
+  metrics.declare_track("fleet_subjob_ms", 0.0, 300'000.0, 600);
+  const auto gauge = [&](const char* name, auto read) {
+    metrics.register_gauge(name, [this, read] {
+      return static_cast<std::int64_t>((registry_.*read)());
+    });
   };
-  scheduler_ = std::make_unique<JobScheduler>(scheduler_options);
-}
-
-Coordinator::~Coordinator() {
-  request_stop(false);
-  teardown(false);
-}
-
-void Coordinator::log_line(const std::string& line) {
-  if (!config_.log) return;
-  const std::lock_guard<std::mutex> lock(log_mutex_);
-  *config_.log << "[syn_coordinator] " << line << "\n";
+  gauge("workers_known", &WorkerRegistry::size);
+  gauge("workers_live", &WorkerRegistry::live_count);
+  gauge("workers_suspect", &WorkerRegistry::suspect_count);
+  gauge("workers_dead", &WorkerRegistry::dead_count);
+  gauge("workers_evicted", &WorkerRegistry::evictions);
+  gauge("workers_reregistered", &WorkerRegistry::reregistrations);
 }
 
 void Coordinator::start() {
-  if (started_.exchange(true)) {
-    throw std::logic_error("Coordinator: start() called twice");
-  }
-  listen_fds_.push_back(server::io::listen_unix(config_.socket_path, 16));
-  log_line("listening on " + config_.socket_path.generic_string());
-  if (config_.tcp_port > 0) {
-    listen_fds_.push_back(server::io::listen_tcp(config_.tcp_port, 16));
-    log_line("listening on 127.0.0.1:" + std::to_string(config_.tcp_port));
-  }
-  for (const int fd : listen_fds_) {
-    accept_threads_.emplace_back([this, fd] { accept_loop(fd); });
-  }
+  server_.start();
   // One synchronous sweep so workers that are already up are live before
   // the first SUBMIT can arrive.
   probe_workers();
-  log_line(std::to_string(registry_.live_count()) + "/" +
-           std::to_string(registry_.size()) + " workers live");
+  server_.log_line(std::to_string(registry_.live_count()) + "/" +
+                   std::to_string(registry_.size()) + " workers live");
   heartbeat_thread_ = std::thread([this] { heartbeat_loop(); });
 }
 
-void Coordinator::request_stop(bool drain) {
+void Coordinator::before_teardown() {
   {
-    const std::lock_guard<std::mutex> lock(stop_mutex_);
-    if (stop_requested_) {
-      stop_cv_.notify_all();
-      return;  // first request's drain mode wins
-    }
-    stop_requested_ = true;
-    stop_drain_ = drain;
+    const std::lock_guard<std::mutex> lock(hb_mutex_);
+    hb_stop_ = true;
   }
-  stop_cv_.notify_all();
-}
-
-void Coordinator::serve() {
-  bool drain = true;
-  {
-    std::unique_lock<std::mutex> lock(stop_mutex_);
-    stop_cv_.wait(lock, [&] { return stop_requested_; });
-    drain = stop_drain_;
-  }
-  teardown(drain);
-}
-
-void Coordinator::teardown(bool drain) {
-  const std::lock_guard<std::mutex> once(teardown_mutex_);
-  if (torn_down_ || !started_.load()) return;
-  torn_down_ = true;
-  const bool owns_socket = !listen_fds_.empty();
-
-  log_line(drain ? "shutting down (draining jobs)"
-                 : "shutting down (cancelling jobs)");
-  // 1. Stop probing (dispatchers keep whatever liveness view exists).
-  hb_stop_.store(true);
-  stop_cv_.notify_all();
+  hb_cv_.notify_all();
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
-
-  // 2. Settle every fleet job: drain finishes them, cancel trips their
-  //    tokens — the dispatcher then cancels the remote sub-jobs too.
-  scheduler_->shutdown(drain);
-
-  // 3. Wake the acceptors and join them.
-  for (const int fd : listen_fds_) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-  listen_fds_.clear();
-
-  // 4. Kick every live connection; handlers see EOF and exit.
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, fd] : connections_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : connection_threads_) t.join();
-  connection_threads_.clear();
-
-  if (owns_socket) {
-    std::error_code ignored;
-    std::filesystem::remove(config_.socket_path, ignored);
-  }
-  log_line("stopped");
 }
 
 // -------------------------------------------------------------- heartbeat
@@ -240,106 +113,41 @@ void Coordinator::probe_workers() {
       probe.queued = u64_field(reply, "queued");
       probe.stall_ms = u64_field(reply, "stall_ms");
       const bool registered = registry_.note_success(ep.label, probe);
-      metrics_.inc("fleet_heartbeats");
-      metrics_.observe("hb_rtt_ms", probe.rtt_ms);
-      metrics_.observe("hb_" + sanitize_label(ep.label) + "_ms",
-                       probe.rtt_ms);
+      server_.metrics().inc("fleet_heartbeats");
+      server_.metrics().observe("hb_rtt_ms", probe.rtt_ms);
+      server_.metrics().observe("hb_" + sanitize_label(ep.label) + "_ms",
+                                probe.rtt_ms);
       if (registered) {
-        log_line("worker " + ep.label + " " +
-                 (prev == WorkerState::kDead ? "re-registered" : "registered") +
-                 " (node " + probe.node + ")");
+        server_.log_line(
+            "worker " + ep.label + " " +
+            (prev == WorkerState::kDead ? "re-registered" : "registered") +
+            " (node " + probe.node + ")");
       }
     } catch (const std::exception& e) {
       const WorkerState now = registry_.note_failure(ep.label);
-      metrics_.inc("fleet_heartbeat_failures");
+      server_.metrics().inc("fleet_heartbeat_failures");
       if (now == WorkerState::kDead && prev != WorkerState::kDead) {
-        log_line("worker " + ep.label + " evicted after " +
-                 std::to_string(registry_.miss_limit()) +
-                 " missed heartbeats (" + e.what() + ")");
+        server_.log_line("worker " + ep.label + " evicted after " +
+                         std::to_string(registry_.miss_limit()) +
+                         " missed heartbeats (" + e.what() + ")");
       }
     }
   }
 }
 
 void Coordinator::heartbeat_loop() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(stop_mutex_);
-      stop_cv_.wait_for(lock, config_.hb_interval, [this] {
-        return hb_stop_.load() || stop_requested_;
-      });
-    }
-    if (hb_stop_.load()) return;
+  std::unique_lock<std::mutex> lock(hb_mutex_);
+  while (!hb_cv_.wait_for(lock, config_.hb_interval,
+                          [this] { return hb_stop_; })) {
+    lock.unlock();
     probe_workers();
+    lock.lock();
   }
 }
 
-// ------------------------------------------------------------ connections
+// ------------------------------------------------------------------ role
 
-void Coordinator::accept_loop(int listen_fd) {
-  while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;  // listener closed during teardown
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t connection_id = next_connection_++;
-    connections_.emplace_back(connection_id, fd);
-    connection_threads_.emplace_back([this, fd, connection_id] {
-      handle_connection(fd, connection_id);
-    });
-  }
-}
-
-void Coordinator::handle_connection(int fd, std::size_t connection_id) {
-  const std::string conn_client = "conn-" + std::to_string(connection_id);
-  log_line(conn_client + " connected");
-  std::string carry;
-  while (auto line = server::io::read_line(fd, carry)) {
-    if (line->empty()) continue;
-    bool keep_going = true;
-    try {
-      keep_going =
-          handle_request(server::parse_request(*line), conn_client, fd);
-    } catch (const server::ProtocolError& e) {
-      keep_going = server::io::write_all(
-          fd, server::error_response(e.what()).dump() + "\n");
-    }
-    if (!keep_going) break;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.erase(
-        std::remove_if(connections_.begin(), connections_.end(),
-                       [&](const auto& c) { return c.first == connection_id; }),
-        connections_.end());
-  }
-  ::close(fd);
-  log_line(conn_client + " disconnected");
-}
-
-Json Coordinator::job_json(const JobScheduler::Info& info) const {
-  Json json;
-  json.set("id", info.id);
-  json.set("client", info.client);
-  json.set("state", to_string(info.state));
-  if (!info.error.empty()) json.set("error", info.error);
-  json.set("produced", info.progress.produced);
-  json.set("written", info.progress.written);
-  json.set("groups", info.progress.groups);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = specs_.find(info.id);
-    if (it != specs_.end()) {
-      json.set("count", it->second.count);
-      json.set("seed", it->second.seed);
-      if (it->second.start != 0) json.set("start", it->second.start);
-      json.set("backend", it->second.backend);
-      json.set("out", it->second.out.generic_string());
-    }
-  }
-  return json;
-}
-
-Json Coordinator::workers_json() const {
+Json Coordinator::workers_reply() {
   util::JsonArray workers;
   for (const WorkerInfo& info : registry_.snapshot()) {
     Json w;
@@ -356,32 +164,26 @@ Json Coordinator::workers_json() const {
     w.set("dispatched", info.dispatched);
     workers.push_back(std::move(w));
   }
-  return Json(std::move(workers));
+  Json json = server::ok_response();
+  json.set("node", config_.node_id);
+  json.set("workers", std::move(workers));
+  return json;
 }
 
-Json Coordinator::metrics_json() {
-  Json metrics = metrics_.snapshot();
+std::optional<Json> Coordinator::admit(const JobSpec& /*spec*/) {
+  if (registry_.live_count() != 0) return std::nullopt;
+  return server::error_response(
+      "no live workers (" + std::to_string(registry_.size()) +
+          " registered); cannot dispatch",
+      server::kErrorCodeNoWorkers);
+}
 
-  const JobScheduler::Counts counts = scheduler_->counts();
-  Json jobs;
-  jobs.set("submitted", counts.submitted);
-  jobs.set("rejected", counts.rejected);
-  jobs.set("queued", counts.queued);
-  jobs.set("running", counts.running);
-  jobs.set("done", counts.done);
-  jobs.set("failed", counts.failed);
-  jobs.set("cancelled", counts.cancelled);
-  metrics.set("jobs", std::move(jobs));
+void Coordinator::add_heartbeat_fields(Json& reply) {
+  reply.set("workers_live",
+            static_cast<std::uint64_t>(registry_.live_count()));
+}
 
-  Json clients;
-  for (const auto& [client, load] : scheduler_->client_loads()) {
-    Json entry;
-    entry.set("queued", static_cast<std::uint64_t>(load.queued));
-    entry.set("active", static_cast<std::uint64_t>(load.active));
-    clients.set(client, std::move(entry));
-  }
-  metrics.set("clients", std::move(clients));
-
+void Coordinator::add_metrics(Json& metrics) {
   // Per-worker liveness + last reported load, keyed by sanitized label so
   // the text render / watch deltas get stable scrapeable names.
   Json fleet;
@@ -397,218 +199,20 @@ Json Coordinator::metrics_json() {
     fleet.set(sanitize_label(info.endpoint.label), std::move(w));
   }
   metrics.set("fleet", std::move(fleet));
-  return metrics;
 }
 
-// ------------------------------------------------------------- event logs
-
-std::shared_ptr<EventLog> Coordinator::event_log(const std::string& id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::shared_ptr<EventLog>& slot = logs_[id];
-  if (!slot) slot = std::make_shared<EventLog>();
-  return slot;
-}
-
-void Coordinator::end_event_log(const std::string& id, JobState state,
-                                const std::string& error) {
-  Json event;
-  event.set("event", "end");
-  event.set("id", id);
-  event.set("state", to_string(state));
-  if (!error.empty()) event.set("error", error);
-  event_log(id)->close_with(event.dump());
-}
-
-// --------------------------------------------------------------- requests
-
-bool Coordinator::handle_request(const Request& request,
-                                 const std::string& conn_client, int fd) {
-  const auto respond = [&](const Json& json) {
-    return server::io::write_all(fd, json.dump() + "\n");
-  };
-  metrics_.inc("requests");
-
-  switch (request.cmd) {
-    case Request::Cmd::kPing: {
-      Json json = server::ok_response();
-      json.set("server", "syn_coordinator");
-      return respond(json);
-    }
-
-    case Request::Cmd::kHello: {
-      if (!request.node.empty()) {
-        log_line("hello from " + request.node + " (" + conn_client + ")");
-      }
-      Json json = server::ok_response();
-      json.set("server", "syn_coordinator");
-      json.set("role", "coordinator");
-      json.set("node", config_.node_id);
-      json.set("pid", static_cast<std::int64_t>(::getpid()));
-      return respond(json);
-    }
-
-    case Request::Cmd::kHeartbeat: {
-      const JobScheduler::Counts counts = scheduler_->counts();
-      Json json = server::ok_response();
-      json.set("node", config_.node_id);
-      json.set("running", counts.running);
-      json.set("queued", counts.queued);
-      json.set("workers_live",
-               static_cast<std::uint64_t>(registry_.live_count()));
-      return respond(json);
-    }
-
-    case Request::Cmd::kWorkers: {
-      Json json = server::ok_response();
-      json.set("node", config_.node_id);
-      json.set("workers", workers_json());
-      return respond(json);
-    }
-
-    case Request::Cmd::kSubmit: {
-      const std::string client =
-          request.client.empty() ? conn_client : request.client;
-      const JobSpec spec = request.spec;
-      if (registry_.live_count() == 0) {
-        metrics_.inc("submit_rejected");
-        return respond(server::error_response(
-            "no live workers (" + std::to_string(registry_.size()) +
-                " registered); cannot dispatch",
-            server::kErrorCodeNoWorkers));
-      }
-      std::string id;
-      try {
-        id = scheduler_->submit(
-            client, [this, spec](const JobScheduler::Handle& handle) {
-              run_fleet_job(spec, handle);
-            });
-      } catch (const server::QuotaError& e) {
-        metrics_.inc("submit_rejected");
-        return respond(
-            server::error_response(e.what(), server::kErrorCodeQuota));
-      } catch (const std::exception& e) {
-        return respond(server::error_response(e.what()));
-      }
-      metrics_.inc("submit_accepted");
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        specs_.emplace(id, spec);
-      }
-      log_line(id + " submitted by " + client + " (" + spec.backend + ", " +
-               std::to_string(spec.count) + " designs -> " +
-               spec.out.generic_string() + ", " +
-               std::to_string(registry_.live_count()) + " live workers)");
-      Json json = server::ok_response();
-      json.set("id", id);
-      json.set("state", "queued");
-      return respond(json);
-    }
-
-    case Request::Cmd::kStatus: {
-      try {
-        Json json = server::ok_response();
-        json.set("job", job_json(scheduler_->info(request.id)));
-        return respond(json);
-      } catch (const std::out_of_range&) {
-        return respond(server::error_response(
-            "unknown job \"" + request.id + "\"",
-            server::kErrorCodeUnknownJob));
-      }
-    }
-
-    case Request::Cmd::kList: {
-      Json json = server::ok_response();
-      util::JsonArray jobs;
-      for (const auto& info : scheduler_->list()) {
-        jobs.push_back(job_json(info));
-      }
-      json.set("jobs", std::move(jobs));
-      return respond(json);
-    }
-
-    case Request::Cmd::kCancel: {
-      const bool changed = scheduler_->cancel(request.id);
-      JobScheduler::Info info;
-      try {
-        info = scheduler_->info(request.id);
-      } catch (const std::out_of_range&) {
-        return respond(server::error_response(
-            "unknown job \"" + request.id + "\"",
-            server::kErrorCodeUnknownJob));
-      }
-      log_line(request.id + " cancel requested (now " +
-               to_string(info.state) + ")");
-      Json json = server::ok_response();
-      json.set("id", request.id);
-      json.set("changed", changed);
-      json.set("state", to_string(info.state));
-      return respond(json);
-    }
-
-    case Request::Cmd::kStream: {
-      try {
-        (void)scheduler_->info(request.id);
-      } catch (const std::out_of_range&) {
-        return respond(server::error_response(
-            "unknown job \"" + request.id + "\"",
-            server::kErrorCodeUnknownJob));
-      }
-      const std::shared_ptr<EventLog> log = event_log(request.id);
-      Json ack = server::ok_response();
-      ack.set("id", request.id);
-      ack.set("streaming", true);
-      ack.set("filter", to_string(request.filter));
-      if (!respond(ack)) return false;
-      std::size_t seq = 0;
-      while (const auto line = log->wait_from(seq)) {
-        seq = line->first + 1;
-        if (!stream_event_passes(line->second, request.filter)) continue;
-        if (!server::io::write_all(fd, line->second + "\n")) return false;
-      }
-      return true;
-    }
-
-    case Request::Cmd::kMetrics: {
-      Json json = server::ok_response();
-      json.set("metrics", metrics_json());
-      return respond(json);
-    }
-
-    case Request::Cmd::kShutdown: {
-      respond(server::ok_response());  // ack first; the connection closes
-      log_line("shutdown requested (drain=" +
-               std::string(request.drain ? "true" : "false") + ")");
-      request_stop(request.drain);
-      return false;
-    }
-  }
-  return respond(server::error_response("unhandled command"));
-}
-
-// -------------------------------------------------------------- job body
-
-void Coordinator::run_fleet_job(const JobSpec& spec,
-                                const JobScheduler::Handle& handle) {
-  const std::shared_ptr<EventLog> log = event_log(handle.id());
-
-  FleetDispatcherConfig dispatch;
-  dispatch.registry = &registry_;
-  dispatch.metrics = &metrics_;
-  dispatch.coordinator_id = config_.node_id;
-  dispatch.connect_timeout_ms = config_.connect_timeout_ms;
-  dispatch.max_attempts = config_.max_attempts;
-  dispatch.log = [this](const std::string& line) { log_line(line); };
-  FleetDispatcher dispatcher(std::move(dispatch));
-
-  const FleetDispatcher::Result result = dispatcher.run(
-      spec, handle, [this, log](std::string line) {
-        metrics_.inc("stream_events");
-        if (line.rfind("{\"event\":\"record\"", 0) == 0) {
-          metrics_.inc("records_forwarded");
-        }
-        log->append(std::move(line));
-      });
-  metrics_.inc("designs_committed", result.records);
+void Coordinator::run_job(const JobSpec& spec,
+                          const JobScheduler::Handle& handle,
+                          const server::JobServer::Emit& emit) {
+  FleetDispatcher dispatcher(
+      {.registry = &registry_,
+       .metrics = &server_.metrics(),
+       .coordinator_id = config_.node_id,
+       .connect_timeout_ms = config_.connect_timeout_ms,
+       .max_attempts = config_.max_attempts,
+       .log = [this](const std::string& line) { server_.log_line(line); }});
+  const FleetDispatcher::Result result = dispatcher.run(spec, handle, emit);
+  server_.metrics().inc("designs_committed", result.records);
 }
 
 }  // namespace syn::fleet

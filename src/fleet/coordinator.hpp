@@ -3,7 +3,7 @@
 //   synctl / any protocol client
 //        │ the SAME NDJSON grammar a single syn_daemon speaks
 //        ▼
-//   Coordinator ── JobScheduler (fair-share, quotas, cancel)
+//   Coordinator ── server::JobServer (scheduler, admission, GC, STREAM)
 //        │ job body = FleetDispatcher::run
 //        ├── WorkerRegistry ◄── heartbeat thread (HELLO/HEARTBEAT probes)
 //        ▼
@@ -13,45 +13,34 @@
 // A client cannot tell a coordinator from a worker except by asking
 // (PING answers "syn_coordinator", WORKERS answers the membership table
 // instead of not_coordinator): SUBMIT/STATUS/LIST/CANCEL/STREAM behave
-// identically, stream events carry the coordinator's job id, and the
-// final dataset is byte-identical to the single-daemon run.
+// identically (including terminal-job GC and admission), stream events
+// carry the coordinator's job id, and the final dataset is byte-identical
+// to the single-daemon run.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <filesystem>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <ostream>
+#include <optional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "fleet/dispatcher.hpp"
 #include "fleet/registry.hpp"
-#include "server/event_log.hpp"
+#include "server/job_server.hpp"
 #include "server/metrics.hpp"
 #include "server/protocol.hpp"
 #include "server/scheduler.hpp"
 
 namespace syn::fleet {
 
-struct CoordinatorConfig {
-  /// Unix-domain socket to listen on (required).
-  std::filesystem::path socket_path;
-  /// Also listen on 127.0.0.1:tcp_port (0 = unix socket only).
-  int tcp_port = 0;
+struct CoordinatorConfig : server::ServerConfig {
+  CoordinatorConfig() { max_concurrent = 2; }
   /// Worker endpoints ("host:port" or socket paths) registered at
   /// construction; the heartbeat loop brings them live.
   std::vector<std::string> workers;
-  /// Identity presented to workers in HELLO; empty = "coordinator-<pid>".
-  std::string node_id;
-  /// Fleet jobs running concurrently.
-  std::size_t max_concurrent = 2;
   /// Probe interval and consecutive misses before eviction.
   std::chrono::milliseconds hb_interval{1000};
   std::size_t hb_miss_limit = 3;
@@ -59,16 +48,14 @@ struct CoordinatorConfig {
   int connect_timeout_ms = 2000;
   /// Dispatch attempts per sub-range before a fleet job fails.
   std::size_t max_attempts = 6;
-  /// Client admission quotas (same semantics as the worker daemon).
-  server::JobScheduler::Quotas quotas;
-  /// Log stream; null = quiet.
-  std::ostream* log = nullptr;
 };
 
-class Coordinator {
+/// The coordinator role on the shared server core: a job body is a
+/// FleetDispatcher run, SUBMIT also needs a live worker, WORKERS answers
+/// the membership table, and a heartbeat thread keeps that table live.
+class Coordinator : private server::JobServer::Role {
  public:
   explicit Coordinator(CoordinatorConfig config);
-  ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -79,8 +66,8 @@ class Coordinator {
   void start();
   /// Blocks until shutdown (protocol request or request_stop), then
   /// tears everything down. start() + serve() is the main loop.
-  void serve();
-  void request_stop(bool drain);
+  void serve() { server_.serve(); }
+  void request_stop(bool drain) { server_.request_stop(drain); }
 
   /// One synchronous probe sweep over every registered worker — the
   /// heartbeat loop calls this each interval; tests call it directly to
@@ -89,59 +76,38 @@ class Coordinator {
 
   [[nodiscard]] const CoordinatorConfig& config() const { return config_; }
   [[nodiscard]] WorkerRegistry& registry() { return registry_; }
-  [[nodiscard]] server::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] server::JobScheduler& scheduler() { return *scheduler_; }
+  [[nodiscard]] server::MetricsRegistry& metrics() {
+    return server_.metrics();
+  }
+  [[nodiscard]] server::JobScheduler& scheduler() {
+    return server_.scheduler();
+  }
 
  private:
-  void accept_loop(int listen_fd);
-  void handle_connection(int fd, std::size_t connection_id);
-  bool handle_request(const server::Request& request,
-                      const std::string& conn_client, int fd);
+  void run_job(const server::JobSpec& spec,
+               const server::JobScheduler::Handle& handle,
+               const server::JobServer::Emit& emit) override;
+  util::Json workers_reply() override;
+  /// Rejects with the typed no_workers while no worker is live.
+  std::optional<util::Json> admit(const server::JobSpec& spec) override;
+  void add_heartbeat_fields(util::Json& reply) override;
+  /// The per-worker "fleet" section.
+  void add_metrics(util::Json& metrics) override;
+  /// Stops probing; dispatchers keep whatever liveness view exists.
+  void before_teardown() override;
   void heartbeat_loop();
-
-  void run_fleet_job(const server::JobSpec& spec,
-                     const server::JobScheduler::Handle& handle);
-  std::shared_ptr<server::EventLog> event_log(const std::string& id);
-  void end_event_log(const std::string& id, server::JobState state,
-                     const std::string& error);
-  [[nodiscard]] util::Json job_json(const server::JobScheduler::Info& info)
-      const;
-  [[nodiscard]] util::Json workers_json() const;
-  [[nodiscard]] util::Json metrics_json();
-  void log_line(const std::string& line);
-  void teardown(bool drain);
 
   CoordinatorConfig config_;
   WorkerRegistry registry_;
 
-  std::vector<int> listen_fds_;
-  std::vector<std::thread> accept_threads_;
+  std::mutex hb_mutex_;
+  std::condition_variable hb_cv_;
+  bool hb_stop_ = false;
   std::thread heartbeat_thread_;
 
-  mutable std::mutex mutex_;  // connections, logs, specs
-  std::vector<std::pair<std::size_t, int>> connections_;
-  std::vector<std::thread> connection_threads_;
-  std::size_t next_connection_ = 0;
-  std::map<std::string, std::shared_ptr<server::EventLog>> logs_;
-  std::map<std::string, server::JobSpec> specs_;
-
-  /// Destroyed after the scheduler (declared before it): job bodies and
-  /// the heartbeat loop observe into this registry.
-  server::MetricsRegistry metrics_;
-
-  mutable std::mutex log_mutex_;
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
-  bool stop_drain_ = true;
-  std::mutex teardown_mutex_;
-  bool torn_down_ = false;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> hb_stop_{false};
-
-  /// Declared LAST: its destructor joins fleet job bodies, which may
-  /// touch any member above.
-  std::unique_ptr<server::JobScheduler> scheduler_;
+  /// Declared LAST: its destructor stops the heartbeat loop and joins
+  /// fleet job bodies, which may touch any member above.
+  server::JobServer server_;
 };
 
 }  // namespace syn::fleet

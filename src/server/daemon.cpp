@@ -1,21 +1,15 @@
 #include "server/daemon.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <exception>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
-#include <vector>
 
 #include "core/registry.hpp"
 #include "nn/simd.hpp"
 #include "rtl/generators.hpp"
-#include "server/socket_io.hpp"
 #include "server/stream_sink.hpp"
 #include "service/dataset_sink.hpp"
 #include "service/generation_service.hpp"
@@ -26,41 +20,6 @@ namespace syn::server {
 using util::Json;
 
 namespace {
-
-/// Bytes of regular files under `dir`, recursively; 0 for a missing or
-/// unreadable dir (an unreadable dir should not block submissions).
-std::uintmax_t directory_bytes(const std::filesystem::path& dir) {
-  std::error_code ec;
-  std::filesystem::recursive_directory_iterator it(dir, ec);
-  if (ec) return 0;
-  std::uintmax_t total = 0;
-  const std::filesystem::recursive_directory_iterator end;
-  while (it != end) {
-    std::error_code entry_ec;
-    if (it->is_regular_file(entry_ec) && !entry_ec) {
-      const std::uintmax_t size = it->file_size(entry_ec);
-      if (!entry_ec) total += size;
-    }
-    it.increment(ec);
-    if (ec) break;
-  }
-  return total;
-}
-
-/// Does one event-log line pass a STREAM filter? Event lines are
-/// util::Json dumps with insertion-ordered keys, so "event" is always the
-/// first field — a prefix check classifies without parsing. The terminal
-/// "end" event always passes (subscribers need it to stop following);
-/// "summary" rides only with kAll.
-bool stream_event_passes(const std::string& line, StreamFilter filter) {
-  if (filter == StreamFilter::kAll) return true;
-  const auto is_kind = [&](const char* kind) {
-    return line.rfind(std::string("{\"event\":\"") + kind + "\"", 0) == 0;
-  };
-  if (is_kind("end")) return true;
-  return filter == StreamFilter::kRecords ? is_kind("record")
-                                          : is_kind("checkpoint");
-}
 
 double ms_between(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
@@ -100,526 +59,35 @@ FittedBackend make_default_backend(const std::string& name,
 
 // ------------------------------------------------------------------ Daemon
 
-Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
-  if (config_.socket_path.empty()) {
-    throw std::invalid_argument("Daemon: socket_path is required");
-  }
+Daemon::Daemon(DaemonConfig config)
+    : Role("syn_daemon", "worker", "records_streamed"),
+      config_(std::move(config)),
+      server_(config_, *this) {
   if (!config_.factory) {
     config_.factory = [log = config_.log](const std::string& name) {
       return make_default_backend(name, log);
     };
   }
-  if (config_.node_id.empty()) {
-    config_.node_id = "worker-" + std::to_string(::getpid());
-  }
-  // Latency tracks re-bounded from the default geometry: dispatch waits
-  // are short (10 ms resolution), job durations are long.
-  registry_.declare_track("dispatch_ms", 0.0, 5'000.0, 500);
-  registry_.declare_track("job_ms", 0.0, 300'000.0, 600);
-  registry_.declare_track("group_commit_ms", 0.0, 30'000.0, 300);
-  registry_.register_gauge("connections", [this] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::int64_t>(connections_.size());
-  });
-  registry_.register_gauge("event_logs", [this] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::int64_t>(logs_.size());
-  });
-  registry_.register_gauge("event_log_lines", [this] {
-    std::vector<std::shared_ptr<EventLog>> logs;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      logs.reserve(logs_.size());
-      for (const auto& [id, log] : logs_) logs.push_back(log);
-    }
-    std::int64_t total = 0;
-    for (const auto& log : logs) total += static_cast<std::int64_t>(log->size());
-    return total;
-  });
-  registry_.register_gauge("tracked_specs", [this] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::int64_t>(specs_.size());
-  });
-  registry_.register_gauge("terminal_retained", [this] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::int64_t total = 0;
-    for (const auto& [client, history] : terminal_history_) {
-      total += static_cast<std::int64_t>(history.size());
-    }
-    return total;
-  });
-  registry_.register_gauge("expired_ring", [this] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::int64_t>(expired_order_.size());
-  });
-  registry_.register_gauge("sink_stall_ms", [this] {
+  server_.metrics().declare_track("group_commit_ms", 0.0, 30'000.0, 300);
+  server_.metrics().register_gauge("sink_stall_ms", [this] {
     return static_cast<std::int64_t>(
         sink_stall_us_.load(std::memory_order_relaxed) / 1000);
   });
-
-  JobScheduler::Options scheduler_options;
-  scheduler_options.max_concurrent = config_.max_concurrent;
-  scheduler_options.quotas = config_.quotas;
-  scheduler_options.metrics = &registry_;
-  // Terminal stream events are driven by the scheduler, not the job
-  // body: the callback fires only after the terminal state is visible to
-  // STATUS, so a client that reacts to the "end" event never reads a
-  // stale "running". It also covers jobs cancelled while still queued,
-  // whose bodies never run.
-  scheduler_options.on_terminal = [this](const JobScheduler::Info& info) {
-    end_event_log(info.id, info.state, info.error);
-    log_line(info.id + " " + to_string(info.state) +
-             (info.error.empty() ? "" : ": " + info.error));
-    // After the terminal event is published: record the job in the
-    // retention history and evict whatever fell out of the window.
-    note_terminal(info);
-  };
-  scheduler_ = std::make_unique<JobScheduler>(scheduler_options);
 }
 
-Daemon::~Daemon() {
-  request_stop(false);
-  teardown(false);
+Json Daemon::workers_reply() {
+  return error_response(
+      "this is a worker daemon, not a coordinator (no fleet registry)",
+      kErrorCodeNotCoordinator);
 }
 
-void Daemon::log_line(const std::string& line) {
-  if (!config_.log) return;
-  const std::lock_guard<std::mutex> lock(log_mutex_);
-  *config_.log << "[syn_daemon] " << line << "\n";
+void Daemon::add_heartbeat_fields(Json& reply) {
+  reply.set("stall_ms", sink_stall_us_.load(std::memory_order_relaxed) / 1000);
+  reply.set("designs_committed",
+            server_.metrics().counter("designs_committed"));
 }
 
-void Daemon::start() {
-  if (started_.exchange(true)) {
-    throw std::logic_error("Daemon: start() called twice");
-  }
-  listen_fds_.push_back(io::listen_unix(config_.socket_path, 16));
-  log_line("listening on " + config_.socket_path.generic_string());
-  if (config_.tcp_port > 0) {
-    listen_fds_.push_back(io::listen_tcp(config_.tcp_port, 16));
-    log_line("listening on 127.0.0.1:" + std::to_string(config_.tcp_port));
-  }
-  for (const int fd : listen_fds_) {
-    accept_threads_.emplace_back([this, fd] { accept_loop(fd); });
-  }
-}
-
-void Daemon::request_stop(bool drain) {
-  {
-    const std::lock_guard<std::mutex> lock(stop_mutex_);
-    if (stop_requested_) {
-      stop_cv_.notify_all();
-      return;  // first request's drain mode wins
-    }
-    stop_requested_ = true;
-    stop_drain_ = drain;
-  }
-  stop_cv_.notify_all();
-}
-
-void Daemon::serve() {
-  bool drain = true;
-  {
-    std::unique_lock<std::mutex> lock(stop_mutex_);
-    stop_cv_.wait(lock, [&] { return stop_requested_; });
-    drain = stop_drain_;
-  }
-  teardown(drain);
-}
-
-void Daemon::teardown(bool drain) {
-  const std::lock_guard<std::mutex> once(teardown_mutex_);
-  if (torn_down_ || !started_.load()) return;
-  torn_down_ = true;
-  // A start() that threw before binding owns no socket file; unlinking
-  // the path then would disconnect a LIVE daemon this one lost the bind
-  // race to.
-  const bool owns_socket = !listen_fds_.empty();
-
-  log_line(drain ? "shutting down (draining jobs)"
-                 : "shutting down (cancelling jobs)");
-  // 1. Stop intake + settle every job. After this, all jobs are terminal
-  //    and every event log is closed (the scheduler's on_terminal hook
-  //    fires for completed and cancelled-while-queued jobs alike), so no
-  //    STREAM subscriber is left waiting.
-  scheduler_->shutdown(drain);
-
-  // 2. Wake the acceptors and join them.
-  for (const int fd : listen_fds_) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-  listen_fds_.clear();
-
-  // 3. Kick every live connection; handlers see EOF / failed writes and
-  //    exit on their own, closing their fds.
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, fd] : connections_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : connection_threads_) t.join();
-  connection_threads_.clear();
-
-  if (owns_socket) {
-    std::error_code ignored;
-    std::filesystem::remove(config_.socket_path, ignored);
-  }
-  log_line("stopped");
-}
-
-void Daemon::accept_loop(int listen_fd) {
-  while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;  // listener closed during teardown
-    std::size_t connection_id = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      connection_id = next_connection_++;
-      connections_.emplace_back(connection_id, fd);
-      connection_threads_.emplace_back([this, fd, connection_id] {
-        handle_connection(fd, connection_id);
-      });
-    }
-  }
-}
-
-void Daemon::handle_connection(int fd, std::size_t connection_id) {
-  const std::string conn_client = "conn-" + std::to_string(connection_id);
-  log_line(conn_client + " connected");
-  std::string carry;
-  while (auto line = io::read_line(fd, carry)) {
-    if (line->empty()) continue;
-    bool keep_going = true;
-    try {
-      keep_going = handle_request(parse_request(*line), conn_client, fd);
-    } catch (const ProtocolError& e) {
-      keep_going = io::write_all(fd, error_response(e.what()).dump() + "\n");
-    }
-    if (!keep_going) break;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.erase(
-        std::remove_if(connections_.begin(), connections_.end(),
-                       [&](const auto& c) { return c.first == connection_id; }),
-        connections_.end());
-  }
-  ::close(fd);
-  log_line(conn_client + " disconnected");
-}
-
-Json Daemon::job_json(const JobScheduler::Info& info) const {
-  Json json;
-  json.set("id", info.id);
-  json.set("client", info.client);
-  json.set("state", to_string(info.state));
-  if (!info.error.empty()) json.set("error", info.error);
-  json.set("produced", info.progress.produced);
-  json.set("written", info.progress.written);
-  json.set("groups", info.progress.groups);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = specs_.find(info.id);
-    if (it != specs_.end()) {
-      json.set("count", it->second.count);
-      json.set("seed", it->second.seed);
-      if (it->second.start != 0) json.set("start", it->second.start);
-      json.set("backend", it->second.backend);
-      json.set("out", it->second.out.generic_string());
-    }
-  }
-  return json;
-}
-
-bool Daemon::handle_request(const Request& request,
-                            const std::string& conn_client, int fd) {
-  const auto respond = [&](const Json& json) {
-    return io::write_all(fd, json.dump() + "\n");
-  };
-  registry_.inc("requests");
-
-  switch (request.cmd) {
-    case Request::Cmd::kPing: {
-      Json json = ok_response();
-      json.set("server", "syn_daemon");
-      return respond(json);
-    }
-
-    case Request::Cmd::kHello: {
-      // Fleet membership handshake: a coordinator introduces itself (its
-      // node id rides in request.node) and learns who this worker is.
-      if (!request.node.empty()) {
-        log_line("hello from " + request.node + " (" + conn_client + ")");
-      }
-      Json json = ok_response();
-      json.set("server", "syn_daemon");
-      json.set("role", "worker");
-      json.set("node", config_.node_id);
-      json.set("pid", static_cast<std::int64_t>(::getpid()));
-      return respond(json);
-    }
-
-    case Request::Cmd::kHeartbeat: {
-      // Liveness probe, answered from scheduler counters only — never
-      // blocked behind a running job, so a busy worker still beats.
-      const JobScheduler::Counts counts = scheduler_->counts();
-      Json json = ok_response();
-      json.set("node", config_.node_id);
-      json.set("running", counts.running);
-      json.set("queued", counts.queued);
-      json.set("stall_ms",
-               sink_stall_us_.load(std::memory_order_relaxed) / 1000);
-      json.set("designs_committed", registry_.counter("designs_committed"));
-      return respond(json);
-    }
-
-    case Request::Cmd::kWorkers: {
-      return respond(error_response(
-          "this is a worker daemon, not a coordinator (no fleet registry)",
-          kErrorCodeNotCoordinator));
-    }
-
-    case Request::Cmd::kSubmit: {
-      const std::string client =
-          request.client.empty() ? conn_client : request.client;
-      const JobSpec spec = request.spec;
-      // Daemon-level admission checks (spec size, disk budget) come
-      // first; queue quotas are enforced atomically inside the scheduler.
-      if (config_.max_designs_per_job > 0 &&
-          spec.count > config_.max_designs_per_job) {
-        registry_.inc("submit_rejected");
-        return respond(error_response(
-            "spec.count " + std::to_string(spec.count) +
-                " exceeds the per-job design limit (" +
-                std::to_string(config_.max_designs_per_job) + ")",
-            kErrorCodeQuota));
-      }
-      if (config_.max_out_bytes > 0) {
-        const std::uintmax_t used = directory_bytes(spec.out);
-        if (used >= config_.max_out_bytes) {
-          registry_.inc("submit_rejected");
-          return respond(error_response(
-              "output dir " + spec.out.generic_string() + " already holds " +
-                  std::to_string(used) + " bytes (budget " +
-                  std::to_string(config_.max_out_bytes) + ")",
-              kErrorCodeQuota));
-        }
-      }
-      std::string id;
-      try {
-        id = scheduler_->submit(client, [this, spec](
-                                            const JobScheduler::Handle& h) {
-          run_generation_job(spec, h);
-        });
-      } catch (const QuotaError& e) {
-        registry_.inc("submit_rejected");
-        return respond(error_response(e.what(), kErrorCodeQuota));
-      } catch (const std::exception& e) {
-        return respond(error_response(e.what()));
-      }
-      registry_.inc("submit_accepted");
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        specs_.emplace(id, spec);
-      }
-      log_line(id + " submitted by " + client + " (" + spec.backend + ", " +
-               std::to_string(spec.count) + " designs -> " +
-               spec.out.generic_string() + ")");
-      Json json = ok_response();
-      json.set("id", id);
-      json.set("state", "queued");
-      return respond(json);
-    }
-
-    case Request::Cmd::kStatus: {
-      try {
-        Json json = ok_response();
-        json.set("job", job_json(scheduler_->info(request.id)));
-        return respond(json);
-      } catch (const std::out_of_range&) {
-        return respond(job_gone_response(request.id));
-      }
-    }
-
-    case Request::Cmd::kList: {
-      Json json = ok_response();
-      util::JsonArray jobs;
-      for (const auto& info : scheduler_->list()) {
-        jobs.push_back(job_json(info));
-      }
-      json.set("jobs", std::move(jobs));
-      return respond(json);
-    }
-
-    case Request::Cmd::kCancel: {
-      const bool changed = scheduler_->cancel(request.id);
-      JobScheduler::Info info;
-      try {
-        info = scheduler_->info(request.id);
-      } catch (const std::out_of_range&) {
-        return respond(job_gone_response(request.id));
-      }
-      log_line(request.id + " cancel requested (now " +
-               to_string(info.state) + ")");
-      Json json = ok_response();
-      json.set("id", request.id);
-      json.set("changed", changed);
-      json.set("state", to_string(info.state));
-      return respond(json);
-    }
-
-    case Request::Cmd::kStream: {
-      try {
-        (void)scheduler_->info(request.id);
-      } catch (const std::out_of_range&) {
-        return respond(job_gone_response(request.id));
-      }
-      // The log must be fetched through the expired-check: creating a
-      // fresh (never-closed) log for a job GC evicted between the info()
-      // above and here would leave this subscriber blocked forever.
-      const std::shared_ptr<EventLog> log =
-          event_log_unless_expired(request.id);
-      if (!log) return respond(job_gone_response(request.id));
-      Json ack = ok_response();
-      ack.set("id", request.id);
-      ack.set("streaming", true);
-      ack.set("filter", to_string(request.filter));
-      if (!respond(ack)) return false;
-      // Replay the retained window, then follow the live tail until the
-      // job's terminal "end" event closes the log.
-      std::size_t seq = 0;
-      while (const auto line = log->wait_from(seq)) {
-        seq = line->first + 1;
-        if (!stream_event_passes(line->second, request.filter)) continue;
-        if (!io::write_all(fd, line->second + "\n")) return false;
-      }
-      return true;  // connection stays usable for further commands
-    }
-
-    case Request::Cmd::kMetrics: {
-      // TTL-based eviction piggybacks on metrics polls, so an idle daemon
-      // with a gc_ttl still sheds old terminal jobs while being scraped.
-      gc_terminal_jobs();
-      Json json = ok_response();
-      json.set("metrics", metrics_json());
-      return respond(json);
-    }
-
-    case Request::Cmd::kShutdown: {
-      respond(ok_response());  // ack first; the connection closes next
-      log_line("shutdown requested (drain=" +
-               std::string(request.drain ? "true" : "false") + ")");
-      request_stop(request.drain);
-      return false;
-    }
-  }
-  return respond(error_response("unhandled command"));
-}
-
-std::shared_ptr<EventLog> Daemon::event_log(const std::string& id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::shared_ptr<EventLog>& slot = logs_[id];
-  if (!slot) slot = std::make_shared<EventLog>();
-  return slot;
-}
-
-std::shared_ptr<EventLog> Daemon::event_log_unless_expired(
-    const std::string& id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (expired_.count(id) != 0) return nullptr;
-  std::shared_ptr<EventLog>& slot = logs_[id];
-  if (!slot) slot = std::make_shared<EventLog>();
-  return slot;
-}
-
-Json Daemon::job_gone_response(const std::string& id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (expired_.count(id) != 0) {
-    return error_response("job \"" + id + "\" expired (evicted by GC)",
-                          kErrorCodeExpired);
-  }
-  return error_response("unknown job \"" + id + "\"", kErrorCodeUnknownJob);
-}
-
-void Daemon::note_terminal(const JobScheduler::Info& info) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    terminal_history_[info.client].push_back(
-        {info.id, std::chrono::steady_clock::now()});
-  }
-  gc_terminal_jobs();
-}
-
-void Daemon::gc_terminal_jobs() {
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<std::string> evicted;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = terminal_history_.begin();
-         it != terminal_history_.end();) {
-      std::deque<TerminalRecord>& history = it->second;
-      const auto past_ttl = [&](const TerminalRecord& rec) {
-        return config_.gc_ttl.count() > 0 && now - rec.at >= config_.gc_ttl;
-      };
-      while (!history.empty() && (history.size() > config_.gc_retain ||
-                                  past_ttl(history.front()))) {
-        evicted.push_back(std::move(history.front().id));
-        history.pop_front();
-      }
-      it = history.empty() ? terminal_history_.erase(it) : std::next(it);
-    }
-    // Mark expired BEFORE the scheduler forgets the id (below, unlocked):
-    // a racing STATUS sees either valid scheduler info (with the spec
-    // fields merely omitted) or the typed "expired" answer — never a
-    // bare "unknown job" for an id that did exist.
-    for (const std::string& id : evicted) {
-      specs_.erase(id);
-      logs_.erase(id);  // already closed: the job was terminal
-      if (expired_.insert(id).second) expired_order_.push_back(id);
-    }
-    while (expired_order_.size() > kExpiredRetention) {
-      expired_.erase(expired_order_.front());
-      expired_order_.pop_front();
-    }
-  }
-  for (const std::string& id : evicted) scheduler_->erase_terminal(id);
-  if (!evicted.empty()) {
-    registry_.inc("jobs_expired", evicted.size());
-    log_line("gc evicted " + std::to_string(evicted.size()) +
-             " terminal job(s)");
-  }
-}
-
-Json Daemon::metrics_json() {
-  // snapshot() pulls the registered gauges, which take mutex_ — so this
-  // must run with no daemon lock held (the registry never holds its own
-  // lock across the calls either; it is a strict leaf).
-  Json metrics = registry_.snapshot();
-
-  const JobScheduler::Counts counts = scheduler_->counts();
-  Json jobs;
-  jobs.set("submitted", counts.submitted);
-  jobs.set("rejected", counts.rejected);
-  jobs.set("queued", counts.queued);
-  jobs.set("running", counts.running);
-  jobs.set("done", counts.done);
-  jobs.set("failed", counts.failed);
-  jobs.set("cancelled", counts.cancelled);
-  jobs.set("expired", registry_.counter("jobs_expired"));
-  jobs.set("tracked",
-           static_cast<std::uint64_t>(scheduler_->tracked_jobs()));
-  metrics.set("jobs", std::move(jobs));
-
-  Json clients;
-  for (const auto& [client, load] : scheduler_->client_loads()) {
-    Json entry;
-    entry.set("queued", static_cast<std::uint64_t>(load.queued));
-    entry.set("active", static_cast<std::uint64_t>(load.active));
-    clients.set(client, std::move(entry));
-  }
-  metrics.set("clients", std::move(clients));
-
+void Daemon::add_metrics(Json& metrics) {
   const synth::SynthCacheStats cache = synth::synthesis_cache_stats();
   Json synth_cache;
   synth_cache.set("hits", cache.hits);
@@ -639,21 +107,10 @@ Json Daemon::metrics_json() {
   Json inference;
   inference.set("simd_level", std::string(nn::active_simd_level_name()));
   metrics.set("inference", std::move(inference));
-  return metrics;
-}
-
-void Daemon::end_event_log(const std::string& id, JobState state,
-                           const std::string& error) {
-  Json event;
-  event.set("event", "end");
-  event.set("id", id);
-  event.set("state", to_string(state));
-  if (!error.empty()) event.set("error", error);
-  event_log(id)->close_with(event.dump());
 }
 
 FittedBackend Daemon::fitted_backend(const std::string& name) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(backends_mutex_);
   std::shared_ptr<BackendEntry>& slot = backends_[name];
   if (!slot) {
     // First job for this backend builds + fits it; concurrent jobs wait.
@@ -682,100 +139,79 @@ FittedBackend Daemon::fitted_backend(const std::string& name) {
   return entry->backend;
 }
 
-void Daemon::run_generation_job(const JobSpec& spec,
-                                const JobScheduler::Handle& handle) {
-  const std::shared_ptr<EventLog> log = event_log(handle.id());
-  JobState outcome = JobState::kDone;
-  std::string error;
-  try {
-    const FittedBackend backend = fitted_backend(spec.backend);
+void Daemon::run_job(const JobSpec& spec, const JobScheduler::Handle& handle,
+                     const JobServer::Emit& emit) {
+  const FittedBackend backend = fitted_backend(spec.backend);
+  MetricsRegistry& registry = server_.metrics();
 
-    service::ShardedDiskSink disk({.dir = spec.out,
-                                   .seed = spec.seed,
-                                   .shard_size = spec.shard_size,
-                                   .fresh = spec.fresh,
-                                   .with_synth_stats = spec.synth_stats,
-                                   .log = nullptr});
-    StreamingManifestSink stream(
-        {.job_id = handle.id(),
-         .shard_size = spec.shard_size,
-         .with_synth_stats = spec.synth_stats},
-        [this, log](std::string line) {
-          registry_.inc("stream_events");
-          if (line.rfind("{\"event\":\"record\"", 0) == 0) {
-            registry_.inc("records_streamed");
-          }
-          log->append(std::move(line));
-        });
-    service::TeeSink tee(disk);
-    tee.add(stream);
+  service::ShardedDiskSink disk({.dir = spec.out,
+                                 .seed = spec.seed,
+                                 .shard_size = spec.shard_size,
+                                 .fresh = spec.fresh,
+                                 .with_synth_stats = spec.synth_stats,
+                                 .log = nullptr});
+  StreamingManifestSink stream({.job_id = handle.id(),
+                                .shard_size = spec.shard_size,
+                                .with_synth_stats = spec.synth_stats},
+                               emit);
+  service::TeeSink tee(disk);
+  tee.add(stream);
 
-    auto last_commit = std::chrono::steady_clock::now();
-    service::GenerationService svc(
-        *backend.model,
-        {.batch = {.batch = spec.batch, .threads = spec.threads},
-         .queue_capacity = spec.queue,
-         // Consumer-thread hook: group-commit cadence + designs durably
-         // checkpointed (the "written and committed" count, vs
-         // records_streamed which counts emitted events).
-         .on_group_committed = [this, &last_commit](std::size_t designs) {
-           const auto now = std::chrono::steady_clock::now();
-           registry_.observe("group_commit_ms", ms_between(last_commit, now));
-           last_commit = now;
-           registry_.inc("designs_committed", designs);
-         },
-         // Producer-side hook: per-backend generation latency (one sample
-         // per group) and the cumulative sink write-stall gauge.
-         .on_group_generated = [this, &spec](std::size_t, double generate_ms,
-                                             double stall_ms) {
-           registry_.observe("generate_" + spec.backend + "_ms", generate_ms);
-           sink_stall_us_.fetch_add(
-               static_cast<std::uint64_t>(stall_ms * 1000.0),
-               std::memory_order_relaxed);
-         }});
-    const std::size_t resumed =
-        std::min(std::max(disk.resume_index(), spec.start), spec.count);
-    handle.set_progress([&svc, resumed] {
-      return JobProgress{resumed + svc.designs_written(),
-                         svc.designs_written(), svc.groups_pumped()};
-    });
-    // The provider above reads svc's atomics; svc dies with this scope,
-    // so freeze the final numbers into a value capture on every exit path
-    // — a STATUS after completion must not chase a dangling reference.
-    struct FreezeProgress {
-      const JobScheduler::Handle& handle;
-      service::GenerationService& svc;
-      std::size_t resumed;
-      ~FreezeProgress() {
-        handle.set_progress(
-            [p = JobProgress{resumed + svc.designs_written(),
-                             svc.designs_written(), svc.groups_pumped()}] {
-              return p;
-            });
-      }
-    } freeze{handle, svc, resumed};
+  auto last_commit = std::chrono::steady_clock::now();
+  service::GenerationService svc(
+      *backend.model,
+      {.batch = {.batch = spec.batch, .threads = spec.threads},
+       .queue_capacity = spec.queue,
+       // Consumer-thread hook: group-commit cadence + designs durably
+       // checkpointed (the "written and committed" count, vs
+       // records_streamed which counts emitted events).
+       .on_group_committed = [&registry, &last_commit](std::size_t designs) {
+         const auto now = std::chrono::steady_clock::now();
+         registry.observe("group_commit_ms", ms_between(last_commit, now));
+         last_commit = now;
+         registry.inc("designs_committed", designs);
+       },
+       // Producer-side hook: per-backend generation latency (one sample
+       // per group) and the cumulative sink write-stall gauge.
+       .on_group_generated = [this, &registry, &spec](std::size_t,
+                                                      double generate_ms,
+                                                      double stall_ms) {
+         registry.observe("generate_" + spec.backend + "_ms", generate_ms);
+         sink_stall_us_.fetch_add(
+             static_cast<std::uint64_t>(stall_ms * 1000.0),
+             std::memory_order_relaxed);
+       }});
+  const std::size_t resumed =
+      std::min(std::max(disk.resume_index(), spec.start), spec.count);
+  handle.set_progress([&svc, resumed] {
+    return JobProgress{resumed + svc.designs_written(),
+                       svc.designs_written(), svc.groups_pumped()};
+  });
+  // The provider above reads svc's atomics; svc dies with this scope, so
+  // freeze the final numbers into a value capture on every exit path — a
+  // STATUS after completion must not chase a dangling reference.
+  struct FreezeProgress {
+    const JobScheduler::Handle& handle;
+    service::GenerationService& svc;
+    std::size_t resumed;
+    ~FreezeProgress() {
+      handle.set_progress(
+          [p = JobProgress{resumed + svc.designs_written(),
+                           svc.designs_written(), svc.groups_pumped()}] {
+            return p;
+          });
+    }
+  } freeze{handle, svc, resumed};
 
-    log_line(handle.id() + " running (resume at " + std::to_string(resumed) +
-             "/" + std::to_string(spec.count) + ")");
-    svc.run({.count = spec.count,
-             .seed = spec.seed,
-             .first = spec.start,
-             .attrs = backend.attrs,
-             .cancel = handle.cancel_token()},
-            tee);
-  } catch (const service::CancelledError&) {
-    outcome = JobState::kCancelled;
-  } catch (const std::exception& e) {
-    outcome = JobState::kFailed;
-    error = e.what();
-  }
-
-  // The terminal "end" event is NOT emitted here: the scheduler's
-  // on_terminal hook appends it after the state change is visible, so
-  // stream consumers and STATUS pollers can never disagree. Re-raise so
-  // the scheduler records this same outcome.
-  if (outcome == JobState::kCancelled) throw service::CancelledError();
-  if (outcome == JobState::kFailed) throw std::runtime_error(error);
+  server_.log_line(handle.id() + " running (resume at " +
+                   std::to_string(resumed) + "/" + std::to_string(spec.count) +
+                   ")");
+  svc.run({.count = spec.count,
+           .seed = spec.seed,
+           .first = spec.start,
+           .attrs = backend.attrs,
+           .cancel = handle.cancel_token()},
+          tee);
 }
 
 }  // namespace syn::server

@@ -1,10 +1,7 @@
 // The dataset-generation daemon: a resident socket front end over
-// service::GenerationService.
+// service::GenerationService, built on the shared server core.
 //
-//   listener (unix socket, optional loopback TCP)
-//        │ one thread per connection, newline-delimited JSON requests
-//        ▼
-//   JobScheduler (fair-share across clients, N concurrent, cancel/drain)
+//   JobServer (listeners, verbs, scheduler, admission, GC; job_server.hpp)
 //        │ job body, on a pool thread
 //        ▼
 //   GenerationService ── TeeSink ──► ShardedDiskSink      (durable dataset)
@@ -21,27 +18,19 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <ostream>
-#include <set>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "core/generator.hpp"
 #include "core/registry.hpp"
-#include "server/event_log.hpp"
+#include "server/job_server.hpp"
 #include "server/metrics.hpp"
 #include "server/protocol.hpp"
 #include "server/scheduler.hpp"
@@ -83,121 +72,50 @@ using BackendFactory = std::function<FittedBackend(const std::string& name)>;
 FittedBackend make_default_backend(const std::string& name,
                                    std::ostream* log = nullptr);
 
-struct DaemonConfig {
-  /// Unix-domain socket to listen on (required; created at start(),
-  /// unlinked at stop()).
-  std::filesystem::path socket_path;
-  /// Also listen on 127.0.0.1:tcp_port (0 = unix socket only).
-  int tcp_port = 0;
-  /// Identity reported to HELLO/HEARTBEAT (fleet membership is keyed on
-  /// it); empty = "worker-<pid>".
-  std::string node_id;
-  /// Jobs running concurrently (each parallelizes internally via
-  /// spec.threads).
-  std::size_t max_concurrent = 1;
-  /// Daemon log stream (connections, job lifecycle); null = quiet.
-  std::ostream* log = nullptr;
+struct DaemonConfig : ServerConfig {
   /// Backend construction hook; null = make_default_backend. Tests
   /// inject cheap stub models here.
   BackendFactory factory;
-
-  // ---- Admission control (all 0 = unlimited) -------------------------
-  /// Per-client / global queue quotas, enforced inside the scheduler.
-  JobScheduler::Quotas quotas;
-  /// Max designs one SUBMIT may request.
-  std::size_t max_designs_per_job = 0;
-  /// Disk budget per output dir: a SUBMIT whose spec.out already holds
-  /// at least this many bytes is rejected (coarse, checked once at
-  /// admission — a resident daemon's main disk hazard is a client
-  /// resubmitting into a dir that keeps growing).
-  std::uintmax_t max_out_bytes = 0;
-
-  // ---- Terminal-job GC ----------------------------------------------
-  /// Terminal jobs retained per client; beyond this the oldest are
-  /// evicted (scheduler entry, spec, and event log together) and STATUS
-  /// answers "expired". 0 = evict immediately at terminal.
-  std::size_t gc_retain = 64;
-  /// Terminal jobs older than this are evicted even within the
-  /// per-client retention window (0 = no TTL). Swept on every terminal
-  /// event and every METRICS request.
-  std::chrono::milliseconds gc_ttl{0};
 };
 
-class Daemon {
+/// The worker role on the shared server core: jobs run locally through
+/// GenerationService, PING/HELLO answer "syn_daemon"/"worker", WORKERS
+/// is the typed not_coordinator error.
+class Daemon : private JobServer::Role {
  public:
   explicit Daemon(DaemonConfig config);
-  ~Daemon();
 
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
   /// Binds the listeners and starts accepting. Throws on bind failure
   /// (socket path in use by a live daemon, TCP port taken, ...).
-  void start();
-
+  void start() { server_.start(); }
   /// Blocks until a protocol shutdown request (or request_stop) arrives,
   /// then tears down: stops intake, drains or cancels the scheduler,
   /// closes every connection, joins every thread. start() + serve() is
   /// the daemon main loop.
-  void serve();
-
+  void serve() { server_.serve(); }
   /// Asynchronous stop trigger (signal handlers, tests). drain=true
   /// finishes queued + running jobs first.
-  void request_stop(bool drain);
+  void request_stop(bool drain) { server_.request_stop(drain); }
 
   [[nodiscard]] const DaemonConfig& config() const { return config_; }
-  [[nodiscard]] JobScheduler& scheduler() { return *scheduler_; }
-  [[nodiscard]] MetricsRegistry& metrics() { return registry_; }
+  [[nodiscard]] JobScheduler& scheduler() { return server_.scheduler(); }
+  [[nodiscard]] MetricsRegistry& metrics() { return server_.metrics(); }
 
  private:
-  void accept_loop(int listen_fd);
-  void handle_connection(int fd, std::size_t connection_id);
-  /// One request -> one response (STREAM additionally writes event lines
-  /// before returning its terminal response). Returns false when the
-  /// connection should close (write failure).
-  bool handle_request(const Request& request, const std::string& conn_client,
-                      int fd);
-
-  void run_generation_job(const JobSpec& spec,
-                          const JobScheduler::Handle& handle);
-  std::shared_ptr<EventLog> event_log(const std::string& id);
-  /// Get-or-create, unless the job has been GC-evicted (then nullptr —
-  /// creating a fresh, never-closed log for an expired job would leave
-  /// its subscriber blocked forever).
-  std::shared_ptr<EventLog> event_log_unless_expired(const std::string& id);
-  /// Terminal event + close; no-op if the log is already closed.
-  void end_event_log(const std::string& id, JobState state,
-                     const std::string& error);
+  void run_job(const JobSpec& spec, const JobScheduler::Handle& handle,
+               const JobServer::Emit& emit) override;
+  util::Json workers_reply() override;
+  void add_heartbeat_fields(util::Json& reply) override;
+  /// Synth-cache hit rate and the inference SIMD tier.
+  void add_metrics(util::Json& metrics) override;
   FittedBackend fitted_backend(const std::string& name);
-  [[nodiscard]] util::Json job_json(const JobScheduler::Info& info) const;
-  void log_line(const std::string& line);
-
-  /// The METRICS payload: registry snapshot + one-lock scheduler counts
-  /// + per-client loads + synth-cache hit rate.
-  [[nodiscard]] util::Json metrics_json();
-  /// "expired" vs "unknown job" error for an id the scheduler no longer
-  /// knows.
-  [[nodiscard]] util::Json job_gone_response(const std::string& id);
-  /// Records a freshly terminal job in the retention history, then
-  /// evicts whatever the retention/TTL rules no longer cover.
-  void note_terminal(const JobScheduler::Info& info);
-  /// Applies the per-client retention count + TTL, evicting scheduler
-  /// entry, spec and event log together. Evicted ids land in the
-  /// expired ring so STATUS/STREAM/CANCEL answer "expired".
-  void gc_terminal_jobs();
 
   DaemonConfig config_;
 
-  std::vector<int> listen_fds_;
-  std::vector<std::thread> accept_threads_;
-
-  mutable std::mutex mutex_;  // connections, logs, specs, backends
-  std::vector<std::pair<std::size_t, int>> connections_;
-  std::vector<std::thread> connection_threads_;
-  std::size_t next_connection_ = 0;
-  std::map<std::string, std::shared_ptr<EventLog>> logs_;
-  std::map<std::string, JobSpec> specs_;
-
+  std::mutex backends_mutex_;
   struct BackendEntry {
     bool building = true;
     FittedBackend backend;
@@ -211,44 +129,9 @@ class Daemon {
   /// the sink_stall_ms gauge so a slow disk/synth consumer is visible.
   std::atomic<std::uint64_t> sink_stall_us_{0};
 
-  // ---- Terminal-job GC state (guarded by mutex_) ---------------------
-  struct TerminalRecord {
-    std::string id;
-    std::chrono::steady_clock::time_point at;
-  };
-  /// Terminal jobs per client, oldest first; trimmed by gc_retain/gc_ttl.
-  std::map<std::string, std::deque<TerminalRecord>> terminal_history_;
-  /// Ids evicted by GC, so STATUS/STREAM/CANCEL answer "expired" instead
-  /// of "unknown job". Itself a bounded ring (kExpiredRetention) — after
-  /// enough churn the very oldest evictions degrade to "unknown job",
-  /// which is still a correct (if less precise) answer.
-  static constexpr std::size_t kExpiredRetention = 4096;
-  std::set<std::string> expired_;
-  std::deque<std::string> expired_order_;
-
-  /// Declared before scheduler_: the scheduler (and job bodies it joins
-  /// at destruction) observe latencies into this registry, so it must be
-  /// destroyed after them.
-  MetricsRegistry registry_;
-
-  /// One-shot teardown executed by serve() (or the destructor if serve
-  /// never ran). Joins every thread; idempotent.
-  void teardown(bool drain);
-
-  mutable std::mutex log_mutex_;
-
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
-  bool stop_drain_ = true;
-  std::mutex teardown_mutex_;
-  bool torn_down_ = false;
-  std::atomic<bool> started_{false};
-
-  /// Declared LAST on purpose: its destructor joins the job pool, and a
-  /// job's terminal callback may touch any member above — destroying the
-  /// scheduler first makes that safe.
-  std::unique_ptr<JobScheduler> scheduler_;
+  /// Declared LAST on purpose: its destructor stops the server and joins
+  /// every job body, which may touch any member above.
+  JobServer server_;
 };
 
 }  // namespace syn::server

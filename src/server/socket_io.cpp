@@ -87,14 +87,19 @@ bool write_all(int fd, std::string_view data) {
   return true;
 }
 
-std::optional<std::string> read_line(int fd, std::string& carry) {
+std::optional<std::string> read_line(int fd, std::string& carry,
+                                     std::size_t max_bytes) {
+  std::size_t scanned = 0;  // carry[0, scanned) holds no '\n'
   while (true) {
-    const auto newline = carry.find('\n');
+    const auto newline = carry.find('\n', scanned);
     if (newline != std::string::npos) {
+      if (newline > max_bytes) break;
       std::string line = carry.substr(0, newline);
       carry.erase(0, newline + 1);
       return line;
     }
+    scanned = carry.size();
+    if (scanned > max_bytes) break;
     char buf[4096];
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0) {
@@ -109,6 +114,8 @@ std::optional<std::string> read_line(int fd, std::string& carry) {
     }
     carry.append(buf, static_cast<std::size_t>(n));
   }
+  throw LineTooLong("line longer than " + std::to_string(max_bytes) +
+                    " bytes");
 }
 
 int listen_unix(const std::filesystem::path& path, int backlog) {

@@ -5,7 +5,9 @@
 // up mid-stream surfaces as a failed write, not a SIGPIPE.
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -21,14 +23,24 @@ struct ConnectError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A line longer than read_line's max_bytes: the peer is not speaking
+/// the line protocol, and the rest of its stream cannot be framed.
+struct LineTooLong : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Writes the whole buffer; false when the peer is gone (EPIPE and
 /// friends).
 bool write_all(int fd, std::string_view data);
 
 /// Reads up to the next '\n' (not included in the result), buffering any
 /// overshoot in `carry` for the following call. nullopt = clean EOF (a
-/// final unterminated fragment is returned as a last line first).
-std::optional<std::string> read_line(int fd, std::string& carry);
+/// final unterminated fragment is returned as a last line first). A line
+/// longer than max_bytes throws LineTooLong; the default leaves client
+/// reads (large LIST/METRICS replies) unbounded.
+std::optional<std::string> read_line(
+    int fd, std::string& carry,
+    std::size_t max_bytes = std::numeric_limits<std::size_t>::max());
 
 /// Binds + listens on a Unix-domain socket, replacing a stale socket file
 /// if nothing is listening behind it. Throws std::runtime_error on

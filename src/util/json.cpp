@@ -77,7 +77,20 @@ class Parser {
     }
   }
 
+  /// Counts one level of container nesting for the scope's lifetime;
+  /// past Json::kMaxDepth the parse fails instead of recursing on.
+  struct DepthGuard {
+    Parser& parser;
+    explicit DepthGuard(Parser& p) : parser(p) {
+      if (++parser.depth_ > Json::kMaxDepth) {
+        parser.fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+      }
+    }
+    ~DepthGuard() { --parser.depth_; }
+  };
+
   Json parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     JsonObject object;
     skip_ws();
@@ -102,6 +115,7 @@ class Parser {
   }
 
   Json parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     JsonArray array;
     skip_ws();
@@ -287,6 +301,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 void dump_string(const std::string& s, std::string& out) {

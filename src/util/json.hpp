@@ -11,6 +11,7 @@
 // so encode(parse(x)) is byte-stable and tests can compare dumped strings.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -46,8 +47,15 @@ class Json {
   Json(JsonArray a) : value_(std::move(a)) {}
   Json(JsonObject o) : value_(std::move(o)) {}
 
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so an unbounded depth would let one line of '['
+  /// overflow the stack of whoever parses it (a server reading peer
+  /// input).
+  static constexpr std::size_t kMaxDepth = 64;
+
   /// Parses exactly one JSON value (leading/trailing whitespace allowed;
-  /// anything else after the value is an error). Throws JsonError.
+  /// anything else after the value is an error). Throws JsonError, also
+  /// for nesting deeper than kMaxDepth.
   static Json parse(std::string_view text);
 
   /// Compact single-line serialization (no spaces, keys in insertion

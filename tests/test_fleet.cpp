@@ -687,6 +687,109 @@ TEST_F(FleetTest, SubmitWithNoLiveWorkersIsATypedRejection) {
   EXPECT_EQ(conn.stream(id, nullptr), "done");
 }
 
+TEST_F(FleetTest, CoordinatorGcAndAdmissionMatchTheDaemon) {
+  const auto w_sock = socket_path("gc_w");
+  RunningDaemon worker(worker_config(w_sock, "w1"));
+  CoordinatorConfig config =
+      coordinator_config(socket_path("gc_c"), {w_sock.string()});
+  config.gc_retain = 3;
+  config.max_designs_per_job = 10;
+  RunningCoordinator coordinator(config);
+  auto conn = ClientConnection::connect_unix(socket_path("gc_c"));
+
+  // Over the per-job design limit: a typed rejection that never reaches
+  // the scheduler.
+  try {
+    (void)conn.submit(stub_spec(11, 7), "gc-client");
+    FAIL() << "over-size submit must be rejected";
+  } catch (const DaemonError& e) {
+    EXPECT_EQ(e.code, server::kErrorCodeQuota);
+  }
+  Json metrics = conn.metrics();
+  EXPECT_EQ(metrics.at("jobs").at("submitted").u64(), 0u);
+  EXPECT_EQ(metrics.at("counters").at("submit_rejected").u64(), 1u);
+
+  // 2x the retention: the first 3 finished fleet jobs must be evicted.
+  std::vector<std::string> ids;
+  for (int i = 0; i < 6; ++i) {
+    JobSpec spec = stub_spec(4, 7);
+    spec.out = dir_ / ("gc" + std::to_string(i));
+    ids.push_back(conn.submit(spec, "gc-client"));
+    EXPECT_EQ(conn.stream(ids.back(), nullptr), "done");
+  }
+  // GC runs after each job's "end" event, so poll for the last eviction.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((metrics = conn.metrics()).at("jobs").at("expired").u64() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(metrics.at("jobs").at("expired").u64(), 3u);
+  EXPECT_EQ(metrics.at("jobs").at("tracked").u64(), 3u);
+  EXPECT_EQ(metrics.at("gauges").at("tracked_specs").i64(), 3);
+  EXPECT_EQ(metrics.at("gauges").at("event_logs").i64(), 3);
+
+  // An evicted id answers the typed "expired" on every verb that names
+  // it; a retained one still answers STATUS.
+  const auto expect_expired = [&](const char* verb, const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << verb << " of an evicted job must report expired";
+    } catch (const DaemonError& e) {
+      EXPECT_EQ(e.code, server::kErrorCodeExpired) << verb;
+    }
+  };
+  expect_expired("status", [&] { (void)conn.status(ids.front()); });
+  expect_expired("stream", [&] { (void)conn.stream(ids.front(), nullptr); });
+  expect_expired("cancel", [&] { (void)conn.cancel(ids.front()); });
+  EXPECT_EQ(conn.status(ids.back()).at("state").str(), "done");
+}
+
+/// This process's VmSize in MB (from /proc/self/status; 0 if absent).
+double vm_size_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stod(line.substr(7)) / 1024;
+  }
+  return 0.0;
+}
+
+TEST_F(FleetTest, ConnectionChurnKeepsVmSizeFlat) {
+  const auto w_sock = socket_path("vm_w");
+  const auto c_sock = socket_path("vm_c");
+  RunningDaemon worker(worker_config(w_sock, "w1"));
+  RunningCoordinator coordinator(
+      coordinator_config(c_sock, {w_sock.string()}));
+  for (const auto& sock : {w_sock, c_sock}) {
+    const auto ping = [&](ClientConnection& conn) {
+      conn.send_line(R"({"cmd":"ping"})");
+      ASSERT_TRUE(conn.recv_line().has_value());
+    };
+    // Warm-up: glibc reserves address space for the peak number of live
+    // threads, not per connection — a 64 MB malloc arena per thread that
+    // allocates while all others are taken, and up to 40 MB of cached
+    // stacks. Eight connections at once reach a peak the sequential
+    // cycles below never exceed.
+    {
+      std::vector<ClientConnection> burst;
+      for (int i = 0; i < 8; ++i) {
+        burst.push_back(ClientConnection::connect_unix(sock));
+        ping(burst.back());
+      }
+    }
+    const double before = vm_size_mb();
+    // Each connection gets a handler thread with an 8 MB stack; unless
+    // the server joins handlers that have exited, 500 short connections
+    // keep ~4 GB of stacks mapped.
+    for (int i = 0; i < 500; ++i) {
+      auto conn = ClientConnection::connect_unix(sock);
+      ping(conn);
+    }
+    EXPECT_LT(vm_size_mb() - before, 64.0) << sock;
+  }
+}
+
 TEST_F(FleetTest, MalformedHelloGetsErrorResponseNotDisconnect) {
   const auto w_sock = socket_path("mh_w");
   RunningDaemon worker(worker_config(w_sock, "w1"));

@@ -79,6 +79,11 @@ struct GenCase {
   Graph (*make)();
 };
 
+// Printed as its label. gtest's default byte dump would carry a heap and
+// a code address, so every build would discover the cases (and ctest
+// would list them) under different names.
+void PrintTo(const GenCase& c, std::ostream* os) { *os << c.label; }
+
 Graph gen_counter() { return make_counter(16); }
 Graph gen_shift() { return make_shift_register(8, 6); }
 Graph gen_lfsr() { return make_lfsr(16, 0xB400u); }

@@ -30,6 +30,7 @@
 #include "server/daemon.hpp"
 #include "server/protocol.hpp"
 #include "server/scheduler.hpp"
+#include "server/socket_io.hpp"
 #include "server/stream_sink.hpp"
 #include "service/dataset_sink.hpp"
 #include "service/generation_service.hpp"
@@ -149,7 +150,7 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(
       server::parse_request(R"({"cmd":"stream","id":"j","filter":"bogus"})"),
       server::ProtocolError);  // unknown stream filter
-  EXPECT_THROW(server::stream_filter_from_string("Records"),
+  EXPECT_THROW((void)server::stream_filter_from_string("Records"),
                server::ProtocolError);  // case-sensitive
 }
 
@@ -826,15 +827,41 @@ TEST_F(DaemonTest, MalformedLinesGetErrorResponsesNotDisconnects) {
   const auto socket = socket_path();
   RunningDaemon daemon(stub_config(socket));
   auto conn = ClientConnection::connect_unix(socket);
-  conn.send_line("this is not json");
-  auto reply = conn.recv_line();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_FALSE(Json::parse(*reply).at("ok").boolean());
+  // The second input nests far past util::Json::kMaxDepth: it must get a
+  // parse error, not overflow the handler's stack.
+  for (const std::string& bad :
+       {std::string("this is not json"), std::string(200'000, '[')}) {
+    conn.send_line(bad);
+    const auto reply = conn.recv_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_FALSE(Json::parse(*reply).at("ok").boolean());
+  }
   // The connection survives and still serves real requests.
   conn.send_line(R"({"cmd":"ping"})");
-  reply = conn.recv_line();
+  const auto reply = conn.recv_line();
   ASSERT_TRUE(reply.has_value());
   EXPECT_TRUE(Json::parse(*reply).at("ok").boolean());
+}
+
+TEST_F(DaemonTest, OversizedRequestLineClosesOnlyThatConnection) {
+  const auto socket = socket_path();
+  RunningDaemon daemon(stub_config(socket));
+  // 2 MiB with no newline, past the server's 1 MiB request-line cap. The
+  // daemon hangs up mid-write, so the write itself may fail.
+  const int fd = server::io::connect_unix(socket);
+  (void)server::io::write_all(fd, std::string(std::size_t{2} << 20, 'x'));
+  std::string carry;
+  if (const auto reply = server::io::read_line(fd, carry)) {
+    EXPECT_FALSE(Json::parse(*reply).at("ok").boolean());
+  }
+  EXPECT_FALSE(server::io::read_line(fd, carry).has_value());  // closed
+  ::close(fd);
+  // Only that connection is gone: a new one still PINGs.
+  auto conn = ClientConnection::connect_unix(socket);
+  conn.send_line(R"({"cmd":"ping"})");
+  const auto reply = conn.recv_line();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(Json::parse(*reply).at("server").str(), "syn_daemon");
 }
 
 }  // namespace

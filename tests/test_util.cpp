@@ -321,6 +321,20 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("1 2"), JsonError);  // trailing garbage
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxDepth, '[', ']')).is_array());
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1, '[', ']')), JsonError);
+  // Objects count toward the same bound as arrays.
+  std::string objects;
+  for (std::size_t i = 0; i < Json::kMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(Json::kMaxDepth, '}');
+  EXPECT_TRUE(Json::parse(objects).is_object());
+  EXPECT_THROW(Json::parse("[" + objects + "]"), JsonError);
+}
+
 TEST(Json, TypedAccessorsEnforceExactness) {
   const Json doc = Json::parse(R"({"neg":-1,"frac":1.5,"three":3})");
   EXPECT_THROW((void)doc.at("neg").u64(), JsonError);
