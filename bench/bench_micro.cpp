@@ -24,6 +24,7 @@
 #include "mcts/mcts.hpp"
 #include "nn/simd.hpp"
 #include "rtl/generators.hpp"
+#include "server/daemon.hpp"
 #include "server/metrics.hpp"
 #include "service/dataset_sink.hpp"
 #include "service/generation_service.hpp"
@@ -34,7 +35,6 @@
 #include "tests/support/fixtures.hpp"
 #include "util/batching.hpp"
 #include "util/perf_counters.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -249,30 +249,34 @@ void BM_PcsFeatures(benchmark::State& state) {
 }
 BENCHMARK(BM_PcsFeatures);
 
-using testsupport::observability_reward;
 using testsupport::redundant_circuit;
 
-/// Root-parallel Phase 3 scaling: Arg = executor threads; the work
-/// decomposition (8 trees, fixed budget) is thread-invariant, so this
-/// measures pure executor scaling on a fixed search. Real time, since
-/// the work happens on pool workers.
+const mcts::PcsDiscriminator& fitted_discriminator() {
+  static const mcts::PcsDiscriminator* disc = [] {
+    auto* d = new mcts::PcsDiscriminator(7);
+    d->fit(rtl::corpus_graphs({.seed = 1}), 100);
+    return d;
+  }();
+  return *disc;
+}
+
+/// Phase 3 as production runs it: the daemon's MCTS config
+/// (server::default_backend_config: one tree, depth 8, 8 actions per
+/// state, the 6 largest register cones, 2 passes) and the hybrid reward
+/// over a fitted discriminator, on an 80-node circuit. Arg = simulations
+/// per cone: 40 is the daemon default, 500 the paper's budget.
 void BM_MctsOptimizeRegisters(benchmark::State& state) {
-  const auto start = redundant_circuit(48, 7);
-  mcts::MctsConfig cfg;
-  cfg.simulations = 160;
-  cfg.max_depth = 8;
-  cfg.actions_per_state = 10;
-  cfg.max_registers = 4;
-  cfg.passes = 1;
-  cfg.root_trees = 8;
-  cfg.threads = static_cast<int>(state.range(0));
+  const auto start = redundant_circuit(80, 7);
+  mcts::MctsConfig cfg = server::default_backend_config().syncircuit.mcts;
+  cfg.simulations = static_cast<int>(state.range(0));
+  const mcts::Reward reward =
+      mcts::hybrid_reward_model(fitted_discriminator());
   for (auto _ : state) {
     util::Rng rng(11);
-    benchmark::DoNotOptimize(
-        mcts::optimize_registers(start, cfg, observability_reward, rng));
+    benchmark::DoNotOptimize(mcts::optimize_registers(start, cfg, reward, rng));
   }
 }
-BENCHMARK(BM_MctsOptimizeRegisters)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
+BENCHMARK(BM_MctsOptimizeRegisters)->Arg(40)->Arg(500);
 
 /// One fitted instance per backend name, built through the core registry
 /// with a deliberately small, uniform training budget — the benchmark
@@ -300,13 +304,11 @@ core::GeneratorModel& fitted_backend(const std::string& name) {
 }
 
 /// Batch-first generation throughput per backend: 8 designs per
-/// iteration through generate_batch (batch 4, single thread on the 1-CPU
-/// recording machine — the thread axis is covered by
-/// BM_MctsOptimizeRegisters). items_per_second is the comparable
-/// counter; outputs are invariant to the batch/thread shape, so rows
-/// measure pure driver + model throughput. SynCircuit uses its packed
-/// diffusion override; the four baselines run the inherited
-/// ThreadPool-sharded default.
+/// iteration through generate_batch (batch 4, single thread).
+/// items_per_second is the comparable counter; outputs are invariant to
+/// the batch/thread shape, so rows measure the batch loop plus the model.
+/// SynCircuit uses its packed diffusion override; the four baselines run
+/// the inherited ThreadPool-sharded default.
 void BM_GenerateBatch(benchmark::State& state, const char* backend) {
   auto& model = fitted_backend(backend);
   constexpr std::size_t kItems = 8;
@@ -333,15 +335,6 @@ BENCHMARK_CAPTURE(BM_GenerateBatch, graphrnn, "graphrnn");
 BENCHMARK_CAPTURE(BM_GenerateBatch, dvae, "dvae");
 BENCHMARK_CAPTURE(BM_GenerateBatch, graphmaker, "graphmaker");
 BENCHMARK_CAPTURE(BM_GenerateBatch, sparsedigress, "sparsedigress");
-
-const mcts::PcsDiscriminator& fitted_discriminator() {
-  static const mcts::PcsDiscriminator* disc = [] {
-    auto* d = new mcts::PcsDiscriminator(7);
-    d->fit(rtl::corpus_graphs({.seed = 1}), 100);
-    return d;
-  }();
-  return *disc;
-}
 
 /// Batched discriminator reward: Arg = batch size (1 = the scalar
 /// per-graph path). items_per_second is the comparable number.

@@ -6,7 +6,6 @@
 //                          graphmaker, sparsedigress — via core registry)
 //       [--threads=N]      MCTS executor width (output is N-invariant)
 //       [--trees=N]        root-parallel trees per cone (affects output)
-//       [--reward-batch=N] graphs per discriminator forward pass
 //   syncircuit_cli stats <file.v>                 structural statistics
 //   syncircuit_cli synth <file.v>                 synthesis + timing report
 //   syncircuit_cli dot   <file.v>                 Graphviz DOT to stdout
@@ -48,7 +47,6 @@ struct GenOptions {
   int threads = 1;       // executor width only — never changes the output
   int trees = 8;         // root-parallel trees (fixed: output is stable
                          // whatever --threads is)
-  int reward_batch = 16;  // discriminator graphs per forward pass
 };
 
 int cmd_gen(int count, std::size_t nodes, std::uint64_t seed,
@@ -63,7 +61,6 @@ int cmd_gen(int count, std::size_t nodes, std::uint64_t seed,
                             .actions_per_state = 10, .max_registers = 8};
   config.syncircuit.mcts.root_trees = opts.trees;
   config.syncircuit.mcts.threads = opts.threads;
-  config.syncircuit.mcts.reward_batch = opts.reward_batch;
   const auto gen = core::make_generator(opts.backend, config);
   std::cout << "training " << gen->name()
             << " on the built-in corpus...\n";
@@ -152,8 +149,6 @@ int main(int argc, char** argv) {
           opts.threads = std::atoi(arg.c_str() + 10);
         } else if (arg.rfind("--trees=", 0) == 0) {
           opts.trees = std::atoi(arg.c_str() + 8);
-        } else if (arg.rfind("--reward-batch=", 0) == 0) {
-          opts.reward_batch = std::atoi(arg.c_str() + 15);
         } else {
           positional.push_back(arg);
         }
@@ -179,8 +174,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cerr << "usage: syncircuit_cli gen [count] [nodes] [seed]"
-               " [--backend=NAME] [--threads=N] [--trees=N]"
-               " [--reward-batch=N]\n"
+               " [--backend=NAME] [--threads=N] [--trees=N]\n"
                "       syncircuit_cli stats|synth|dot <file.v>\n"
                "       syncircuit_cli corpus\n"
                "backends:";

@@ -87,8 +87,8 @@ void SynCircuitGenerator::fit(const std::vector<Graph>& corpus) {
 mcts::Reward SynCircuitGenerator::reward() const {
   // Hybrid: learned PCS (the paper's synthesis-free discriminator) plus an
   // exact observability term so single-swap improvements are visible. The
-  // discriminator path carries a batched forward so MCTS can score whole
-  // simulations per MLP call (mcts.reward_batch).
+  // discriminator path carries the fused batch forward, which MCTS uses to
+  // score each state (Reward::score).
   return config_.use_discriminator
              ? mcts::hybrid_reward_model(discriminator_)
              : mcts::Reward(mcts::exact_pcs_reward());

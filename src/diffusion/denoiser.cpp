@@ -20,12 +20,12 @@ using nn::Tensor;
 
 Denoiser::Denoiser(DenoiserConfig config, util::Rng& rng)
     : config_(config),
+      packed_mutex_(std::make_unique<std::mutex>()),
       init_({feature_dim() + 2, config.hidden, config.hidden}, rng),
       time_init_({config.time_dim, config.hidden}, rng),
       relation_({config.time_dim, config.hidden}, rng),
       dtime_({config.time_dim, config.time_dim}, rng),
-      head_({config.hidden + config.time_dim + 1, config.hidden, 1}, rng),
-      packed_mutex_(std::make_unique<std::mutex>()) {
+      head_({config.hidden + config.time_dim + 1, config.hidden, 1}, rng) {
   for (int l = 0; l < config.mpnn_layers; ++l) {
     wh_.emplace_back(config.hidden, config.hidden, rng);
     wm_.emplace_back(config.hidden, config.hidden, rng);

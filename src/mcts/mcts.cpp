@@ -13,7 +13,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/node_type.hpp"
-#include "util/batching.hpp"
 
 namespace syn::mcts {
 
@@ -47,21 +46,8 @@ bool apply_swap(Graph& g, const SwapAction& a) {
   return false;
 }
 
-std::vector<double> Reward::batch(std::span<const Graph> gs,
-                                  int max_batch) const {
-  std::vector<double> out;
-  out.reserve(gs.size());
-  if (batch_ && max_batch > 1) {
-    util::for_each_chunk(gs.size(), static_cast<std::size_t>(max_batch),
-                         [&](std::size_t lo, std::size_t n) {
-                           const std::vector<double> scores =
-                               batch_(gs.subspan(lo, n));
-                           out.insert(out.end(), scores.begin(), scores.end());
-                         });
-  } else {
-    for (const Graph& g : gs) out.push_back(single_(g));
-  }
-  return out;
+double Reward::score(const Graph& g) const {
+  return batch_ ? batch_(std::span<const Graph>(&g, 1)).front() : single_(g);
 }
 
 namespace {
@@ -96,8 +82,20 @@ SwapAction random_action(const Graph& g, const std::vector<NodeId>& cone_pool,
   return a;
 }
 
+/// Exchanges the parents of the action's two slots without checking
+/// validity. On fan-ins a swap is its own inverse, so this both re-applies
+/// an action that `apply_swap` accepted on the same state and undoes it.
+void exchange_parents(Graph& g, const SwapAction& a) {
+  const NodeId pa = g.fanin(a.child_a, a.slot_a);
+  const NodeId pb = g.fanin(a.child_b, a.slot_b);
+  g.set_fanin(a.child_a, a.slot_a, pb);
+  g.set_fanin(a.child_b, a.slot_b, pa);
+}
+
+/// A search-tree state, stored as the swap that leads to it from its
+/// parent's state; the root is the cone's start graph.
 struct TreeNode {
-  Graph state;
+  SwapAction action;
   double reward = 0.0;
   int visits = 0;
   double q_sum = 0.0;
@@ -105,21 +103,23 @@ struct TreeNode {
   std::vector<std::unique_ptr<TreeNode>> children;
 };
 
-void seed_actions(TreeNode& node, const std::vector<NodeId>& cone_pool,
+/// Samples the node's candidate actions; `state` is the graph at `node`.
+void seed_actions(TreeNode& node, const Graph& state,
+                  const std::vector<NodeId>& cone_pool,
                   const std::vector<NodeId>& global_pool,
                   const MctsConfig& config, util::Rng& rng) {
   node.untried.clear();
   if (cone_pool.empty() || global_pool.size() < 2) return;
   // Observable swap counterparties of *this* state (recomputed per node:
   // swaps change observability).
-  const auto mask = graph::observable_mask(node.state);
+  const auto mask = graph::observable_mask(state);
   std::vector<NodeId> observable_pool;
   for (NodeId n : global_pool) {
     if (mask[n]) observable_pool.push_back(n);
   }
   for (int k = 0; k < config.actions_per_state; ++k) {
-    node.untried.push_back(random_action(node.state, cone_pool, global_pool,
-                                         observable_pool, rng));
+    node.untried.push_back(
+        random_action(state, cone_pool, global_pool, observable_pool, rng));
   }
 }
 
@@ -128,30 +128,36 @@ struct TreeResult {
   double best_reward = 0.0;
 };
 
-/// One independent UCB1 tree over the cone. Owns nothing shared: its Rng
-/// and TreeNodes are task-local, and `reward` is only called, never
-/// mutated — which is what makes root parallelism race-free.
+/// One independent UCB1 tree over the cone. Owns nothing shared: its Rng,
+/// TreeNodes and working graph are task-local, and `reward` is only
+/// called, never mutated — which is what makes root parallelism race-free.
+///
+/// The tree keeps one working graph. Each simulation walks it from the
+/// start state down the selected path by re-applying the stored swaps,
+/// expands and rolls out with `apply_swap` on it, scores every new state
+/// in place, then undoes its swaps newest first. Only a new best state is
+/// copied out.
 TreeResult run_tree(const Graph& start, double root_reward,
                     const std::vector<NodeId>& cone_pool,
                     const std::vector<NodeId>& global_pool,
                     const MctsConfig& config, int simulations,
                     const Reward& reward, util::Rng& rng) {
+  Graph g = start;
   TreeNode root;
-  root.state = start;
   root.reward = root_reward;
-  seed_actions(root, cone_pool, global_pool, config, rng);
+  seed_actions(root, g, cone_pool, global_pool, config, rng);
 
   TreeResult out{start, root_reward};
-  const auto consider = [&out](const Graph& g, double r) {
+  // Scores the working graph's state; a new best is copied out.
+  const auto score = [&] {
+    const double r = reward.score(g);
     if (r > out.best_reward) {
       out.best_reward = r;
       out.best_state = g;
     }
+    return r;
   };
-  // Without a batched reward there is nothing to amortize, so states are
-  // scored in place instead of being copied for deferred scoring. Both
-  // paths see the same (state, score) sequence and agree bit-for-bit.
-  const bool batch_scoring = reward.has_batch() && config.reward_batch > 1;
+  std::vector<SwapAction> applied;  // swaps on `g` this simulation, in order
 
   for (int sim = 0; sim < simulations; ++sim) {
     // --- selection ---
@@ -176,80 +182,44 @@ TreeResult run_tree(const Graph& start, double root_reward,
         }
       }
       node = chosen;
+      exchange_parents(g, node->action);
+      applied.push_back(node->action);
       path.push_back(node);
       ++depth;
     }
-    // --- expansion (reward deferred to the batched evaluation below) ---
-    TreeNode* expanded = nullptr;
+    // --- expansion ---
     if (depth < config.max_depth && !node->untried.empty()) {
       const SwapAction action = node->untried.back();
       node->untried.pop_back();
-      Graph next = node->state;
-      if (apply_swap(next, action)) {
+      if (apply_swap(g, action)) {
+        applied.push_back(action);
         auto child = std::make_unique<TreeNode>();
-        child->state = std::move(next);
-        seed_actions(*child, cone_pool, global_pool, config, rng);
+        child->action = action;
+        seed_actions(*child, g, cone_pool, global_pool, config, rng);
+        child->reward = score();
         node->children.push_back(std::move(child));
         node = node->children.back().get();
-        expanded = node;
         path.push_back(node);
         ++depth;
       }
     }
-    // --- simulation (random rollout) ---
-    std::vector<Graph> pending;  // batch path: states copied for scoring
-    if (expanded != nullptr) {
-      if (batch_scoring) {
-        pending.push_back(expanded->state);
-      } else {
-        expanded->reward = reward(expanded->state);
-        consider(expanded->state, expanded->reward);
-      }
-    }
-    // Max over the path, taken only once every path node (including a
-    // just-expanded one) is scored — so a default 0.0 never leaks into
-    // backpropagation. The batch path folds it in after scoring below.
-    const auto path_reward_max = [&path] {
-      double m = -std::numeric_limits<double>::infinity();
-      for (TreeNode* p : path) m = std::max(m, p->reward);
-      return m;
-    };
-    double reward_max =
-        batch_scoring ? -std::numeric_limits<double>::infinity()
-                      : path_reward_max();
-    Graph rollout = node->state;
+    // --- simulation (random rollout), Reward_max over path and rollout ---
+    double reward_max = -std::numeric_limits<double>::infinity();
+    for (TreeNode* p : path) reward_max = std::max(reward_max, p->reward);
     for (int d = depth;
          d < config.max_depth && !cone_pool.empty() && global_pool.size() >= 2;
          ++d) {
       const SwapAction action =
-          random_action(rollout, cone_pool, global_pool, {}, rng);
-      if (!apply_swap(rollout, action)) continue;
-      if (batch_scoring) {
-        pending.push_back(rollout);
-      } else {
-        const double r = reward(rollout);
-        consider(rollout, r);
-        reward_max = std::max(reward_max, r);
-      }
+          random_action(g, cone_pool, global_pool, {}, rng);
+      if (!apply_swap(g, action)) continue;
+      applied.push_back(action);
+      reward_max = std::max(reward_max, score());
     }
-    if (batch_scoring) {
-      // Rewards are consumed only after every state of this simulation is
-      // generated, so scoring them in one batched call cannot change the
-      // search trajectory — batching is a pure throughput knob.
-      const std::vector<double> scores =
-          reward.batch(pending, config.reward_batch);
-      std::size_t idx = 0;
-      if (expanded != nullptr) {
-        expanded->reward = scores[idx];
-        consider(expanded->state, scores[idx]);
-        ++idx;
-      }
-      reward_max = path_reward_max();
-      for (; idx < scores.size(); ++idx) {
-        consider(pending[idx], scores[idx]);
-        reward_max = std::max(reward_max, scores[idx]);
-      }
+    // Back to the start state for the next simulation.
+    for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
+      exchange_parents(g, *it);
     }
+    applied.clear();
     // --- backpropagation with Reward_max (paper §VI-B) ---
     for (TreeNode* p : path) {
       ++p->visits;
@@ -358,7 +328,7 @@ Graph random_optimize(const Graph& gval, const MctsConfig& config,
   for (int sim = 0; sim < config.simulations; ++sim) {
     const SwapAction action = random_action(current, pool, pool, {}, rng);
     if (!apply_swap(current, action)) continue;
-    const double r = reward(current);
+    const double r = reward.score(current);
     if (r > best_reward) {
       best_reward = r;
       best = current;

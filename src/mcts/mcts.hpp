@@ -1,14 +1,22 @@
 // Phase 3 — MCTS-based refinement of circuit redundancy (paper §VI).
 //
-// States are whole circuit graphs; the atomic action swaps the parents of
-// two fan-in slots, which preserves every node's in- and out-degree (paper
-// §VI-B "action space"). Search is UCB1-guided; simulation reward is the
-// *maximum* state reward seen along the path, and backpropagation updates
-// Q with that maximum (the paper's modification for identifying the best
-// intermediate state rather than a terminal one). The reward is PCS —
-// post-synthesis area per pre-synthesis node — supplied as a callback so
-// the exact synthesis oracle and the learned discriminator are
-// interchangeable.
+// The atomic action swaps the parents of two fan-in slots, which preserves
+// every node's in- and out-degree (paper §VI-B "action space"). A tree
+// node stores the swap that leads to it from its parent, not a graph:
+// each tree keeps one working copy of the cone's start graph, re-applies
+// the stored swaps to walk down the selected path, expands and rolls out
+// by applying swaps to that same graph, scores every state in place and
+// undoes the simulation's swaps before the next one. A graph is copied
+// only when a state beats the best reward so far. Swaps reorder fan-out
+// lists, so nothing on the search path may depend on that order; every
+// consumer reads fan-in slots, fan-out counts or reachability.
+//
+// Search is UCB1-guided; simulation reward is the *maximum* state reward
+// seen along the path, and backpropagation updates Q with that maximum
+// (the paper's modification for identifying the best intermediate state
+// rather than a terminal one). The reward is PCS — post-synthesis area
+// per pre-synthesis node — supplied as a callback so the exact synthesis
+// oracle and the learned discriminator are interchangeable.
 //
 // Parallelism (root parallelism): when `root_trees > 1` the simulation
 // budget is split across that many independent trees over the same cone,
@@ -49,11 +57,6 @@ struct MctsConfig {
   int root_trees = 1;
   /// Executor width for root-parallel trees (<= 1 runs them inline).
   int threads = 1;
-  /// Max states per batched reward evaluation; states produced by one
-  /// simulation (expansion + rollout) are scored together in chunks of
-  /// this size. <= 1 scores one state at a time. Batching never changes
-  /// results: rewards are consumed only after the states are generated.
-  int reward_batch = 16;
 };
 
 /// Swap the parents currently driving (child_a, slot_a) and
@@ -67,7 +70,8 @@ struct SwapAction {
 
 /// Applies the swap if it keeps the circuit valid (no combinational loop,
 /// no duplicate parent, no degenerate self-swap); returns false and leaves
-/// the graph untouched otherwise.
+/// every fan-in slot untouched otherwise. Either way the order within
+/// fan-out lists may change.
 bool apply_swap(graph::Graph& g, const SwapAction& action);
 
 /// State evaluation callback (PCS; larger is better).
@@ -78,10 +82,10 @@ using BatchRewardFn =
 
 /// A reward with an optional batched fast path. Single-argument callables
 /// convert implicitly, so plain RewardFn lambdas keep working; rewards
-/// backed by the learned discriminator supply a real `batch` that runs the
-/// MLP over many graphs per forward pass. The batch path must agree with
-/// the scalar path bitwise (row-independent matmuls make this exact for
-/// the discriminator), so batching is a pure throughput knob.
+/// backed by the learned discriminator also supply a `batch` function on
+/// the fused inference path. The batch path must agree with the scalar
+/// path bitwise (row-independent matmuls make this exact for the
+/// discriminator), so which one scores a state never changes a result.
 class Reward {
  public:
   Reward() = default;
@@ -95,13 +99,11 @@ class Reward {
 
   double operator()(const graph::Graph& g) const { return single_(g); }
 
-  /// Rewards for all graphs, chunked to at most `max_batch` per batched
-  /// call; falls back to the scalar path when no batch fn was supplied.
-  [[nodiscard]] std::vector<double> batch(std::span<const graph::Graph> gs,
-                                          int max_batch) const;
+  /// The reward of one search state: the batch function over a span of
+  /// one when there is one (the fused path), else the scalar function.
+  [[nodiscard]] double score(const graph::Graph& g) const;
 
   [[nodiscard]] bool defined() const { return static_cast<bool>(single_); }
-  [[nodiscard]] bool has_batch() const { return static_cast<bool>(batch_); }
 
  private:
   RewardFn single_;

@@ -20,8 +20,14 @@ struct Avx512V {
   static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
   // vmaxps zmm semantics match SSE/AVX: SRC2 on NaN/both-zero, so v as
-  // SRC1 matches the scalar `v > 0.0f ? v : 0.0f` bitwise.
-  static reg max0(reg v) { return _mm512_max_ps(v, _mm512_setzero_ps()); }
+  // SRC1 matches the scalar `v > 0.0f ? v : 0.0f` bitwise. The all-lanes
+  // masked form is the same instruction with an explicit pass-through
+  // operand; GCC 12's _mm512_max_ps passes _mm512_undefined_ps(), which
+  // trips -Wmaybe-uninitialized.
+  static reg max0(reg v) {
+    const reg zero = _mm512_setzero_ps();
+    return _mm512_mask_max_ps(zero, 0xFFFF, v, zero);
+  }
 };
 
 const SimdKernels kTable = make_kernels<Avx512V>();

@@ -13,6 +13,7 @@
 #include "mcts/discriminator.hpp"
 #include "mcts/mcts.hpp"
 #include "rtl/generators.hpp"
+#include "rtl/verilog.hpp"
 #include "synth/synthesizer.hpp"
 #include "tests/support/fixtures.hpp"
 
@@ -262,30 +263,87 @@ TEST(Discriminator, ScoreBatchMatchesScalarPredict) {
   ASSERT_EQ(single.size(), 1u);
   EXPECT_NEAR(single[0], disc.predict(one[0]), 1e-9);
 
-  // The packaged reward model agrees between scalar and batch paths too.
+  // The packaged reward model agrees between scalar and batch paths too,
+  // bitwise: MCTS scores states through score(), the batch path.
   const Reward hybrid = hybrid_reward_model(disc);
-  const auto batched = hybrid.batch(batch, 4);  // forces chunked batch calls
-  ASSERT_EQ(batched.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_NEAR(batched[i], hybrid(batch[i]), 1e-9) << "graph " << i;
+    EXPECT_EQ(hybrid.score(batch[i]), hybrid(batch[i])) << "graph " << i;
   }
 }
 
 TEST(Mcts, RewardBatchingDoesNotChangeSearchResults) {
-  // reward_batch is a pure throughput knob: the search trajectory and the
-  // returned graph must be identical batched and unbatched.
-  const Reward hybrid = hybrid_reward_model(shared_discriminator());
+  // Whether a reward carries a batch path is a pure throughput choice: the
+  // search trajectory and the returned graph must be identical with the
+  // batch-backed reward and with the same reward scalar-only.
+  const Reward batch_backed = hybrid_reward_model(shared_discriminator());
+  const Reward scalar_only = hybrid_reward(shared_discriminator());
   const Graph start = redundant_circuit(32, 95);
-  MctsConfig cfg{.simulations = 48, .max_depth = 6, .actions_per_state = 8,
-                 .max_registers = 3, .passes = 1, .root_trees = 4};
-  cfg.reward_batch = 1;
+  const MctsConfig cfg{.simulations = 48, .max_depth = 6,
+                       .actions_per_state = 8, .max_registers = 3,
+                       .passes = 1, .root_trees = 4};
   util::Rng rng_scalar(11);
-  const Graph unbatched = optimize_registers(start, cfg, hybrid, rng_scalar);
-  cfg.reward_batch = 16;
+  const Graph unbatched =
+      optimize_registers(start, cfg, scalar_only, rng_scalar);
   util::Rng rng_batched(11);
-  const Graph batched = optimize_registers(start, cfg, hybrid, rng_batched);
+  const Graph batched =
+      optimize_registers(start, cfg, batch_backed, rng_batched);
   EXPECT_EQ(unbatched, batched);
   EXPECT_TRUE(graph::is_valid(batched));
+}
+
+/// FNV-1a of the emitted Verilog, which spells out every node's
+/// attributes and fan-ins: equal digests mean equal search results.
+std::uint64_t verilog_digest(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : rtl::to_verilog(g)) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Mcts, PinnedSearchTrajectory) {
+  // The production Phase 3 config (server::default_backend_config) on
+  // fixed inputs and seeds. Any change to the search trajectory, the swap
+  // semantics or the scoring arithmetic moves these digests, and with them
+  // every generated dataset; re-record them only when that is the intent.
+  struct Case {
+    std::size_t nodes;
+    int root_trees;
+    bool hybrid;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {60, 1, false, 0xb1f1ede7f18ee2ceULL},
+      {60, 4, false, 0x9f5faeea00322150ULL},
+      {60, 1, true, 0xb1f1ede7f18ee2ceULL},
+      {60, 4, true, 0x9f5faeea00322150ULL},
+      {80, 1, false, 0x871b2384246776ffULL},
+      {80, 4, false, 0x44b78703c9019693ULL},
+      {80, 1, true, 0x543f1299bd2cf7f3ULL},
+      {80, 4, true, 0x9b5260f09267225bULL},
+      {100, 1, false, 0x02aa1d0a69c4a035ULL},
+      {100, 4, false, 0x8ced232b46bde283ULL},
+      {100, 1, true, 0x4ae7984735a589ddULL},
+      {100, 4, true, 0xabc789a7c9111bd3ULL},
+  };
+  const Reward observability = testsupport::observability_reward;
+  const Reward hybrid = hybrid_reward_model(shared_discriminator());
+  for (const Case& c : cases) {
+    const MctsConfig cfg{.simulations = 40, .max_depth = 8,
+                         .actions_per_state = 8, .max_registers = 6,
+                         .passes = 2, .root_trees = c.root_trees};
+    const Graph start = redundant_circuit(c.nodes, 300 + c.nodes);
+    util::Rng rng(7 + c.nodes);
+    const Graph out =
+        optimize_registers(start, cfg, c.hybrid ? hybrid : observability, rng);
+    EXPECT_EQ(verilog_digest(out), c.digest)
+        << "nodes " << c.nodes << " root_trees " << c.root_trees
+        << " hybrid " << c.hybrid << " digest 0x" << std::hex
+        << verilog_digest(out);
+    EXPECT_NE(out, start) << "the search must move for the pin to mean "
+                             "anything: nodes "
+                          << c.nodes << " root_trees " << c.root_trees;
+  }
 }
 
 }  // namespace
