@@ -150,30 +150,35 @@ void BM_DenoiserStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DenoiserStep);
 
-const diffusion::DiffusionModel& trained_diffusion() {
+/// The production Phase 1 model: server::default_backend_config()'s
+/// diffusion config, trained once on the RTL corpus.
+const diffusion::DiffusionModel& production_diffusion() {
   static const diffusion::DiffusionModel* model = [] {
-    diffusion::DiffusionConfig cfg;
-    cfg.steps = 4;
-    cfg.denoiser = {.mpnn_layers = 2, .hidden = 16, .time_dim = 8};
-    cfg.epochs = 2;
-    cfg.seed = 5;
-    auto* m = new diffusion::DiffusionModel(cfg);
-    m->train({rtl::make_counter(4), rtl::make_fifo_ctrl(2)});
+    auto* m = new diffusion::DiffusionModel(
+        server::default_backend_config().syncircuit.diffusion);
+    m->train(rtl::corpus_graphs({.seed = 1}));
     return m;
   }();
   return *model;
 }
 
-/// Batched reverse-diffusion sampling: 32 chains per iteration advanced in
-/// lockstep chunks of Arg (1 = the scalar per-graph sample() loop; outputs
-/// are bit-identical across all rows). items_per_second is the comparable
-/// counter — the packed multi-graph denoiser forward amortizes per-call
-/// work across the chunk.
+/// Phase 1 at the production config: one chunk of 8 reverse-diffusion
+/// chains per iteration, attributes drawn as production draws them
+/// (AttrSampler over the corpus at default_attr_nodes(i): 60/80/100
+/// nodes). Arg is the number of chains advanced per packed denoiser
+/// forward: 1 is the scalar per-graph sample() loop, 8 one production
+/// chunk. Outputs are bit-identical across rows; items_per_second is
+/// designs per second.
 void BM_DiffusionSample(benchmark::State& state) {
-  const auto& model = trained_diffusion();
-  const graph::NodeAttrs attrs = graph::attrs_of(rtl::make_counter(4));
-  constexpr std::size_t kChains = 32;
-  const std::vector<graph::NodeAttrs> batch_attrs(kChains, attrs);
+  const auto& model = production_diffusion();
+  constexpr std::size_t kChains = 8;
+  core::AttrSampler sampler;
+  sampler.fit(rtl::corpus_graphs({.seed = 1}));
+  util::Rng attr_rng(31);
+  std::vector<graph::NodeAttrs> attrs;
+  for (std::size_t i = 0; i < kChains; ++i) {
+    attrs.push_back(sampler.sample(server::default_attr_nodes(i), attr_rng));
+  }
   const auto seeds = util::split_streams(31, kChains);
   const auto chunk = static_cast<std::size_t>(state.range(0));
   const CacheMissColumn cache(state);
@@ -181,7 +186,7 @@ void BM_DiffusionSample(benchmark::State& state) {
     if (chunk <= 1) {
       for (std::size_t i = 0; i < kChains; ++i) {
         util::Rng rng(seeds[i]);
-        benchmark::DoNotOptimize(model.sample(attrs, rng));
+        benchmark::DoNotOptimize(model.sample(attrs[i], rng));
       }
     } else {
       util::for_each_chunk(kChains, chunk, [&](std::size_t lo, std::size_t n) {
@@ -189,7 +194,7 @@ void BM_DiffusionSample(benchmark::State& state) {
         rngs.reserve(n);
         for (std::size_t k = 0; k < n; ++k) rngs.emplace_back(seeds[lo + k]);
         benchmark::DoNotOptimize(
-            model.sample_batch({batch_attrs.data() + lo, n}, rngs));
+            model.sample_batch({attrs.data() + lo, n}, rngs));
       });
     }
   }
@@ -197,7 +202,7 @@ void BM_DiffusionSample(benchmark::State& state) {
                           static_cast<std::int64_t>(kChains));
   state.SetLabel(nn::active_simd_level_name());
 }
-BENCHMARK(BM_DiffusionSample)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_DiffusionSample)->Arg(1)->Arg(8);
 
 void BM_Phase2Repair(benchmark::State& state) {
   util::Rng rng(2);

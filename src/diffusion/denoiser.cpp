@@ -61,6 +61,11 @@ std::vector<std::vector<std::size_t>> Denoiser::parent_lists(
 
 namespace {
 
+/// Pair rows the decoder builds and scores at a time: a 128 x 49 tile
+/// (25 KB at the production shape) and its 128 x 32 head activations
+/// stay cache-resident.
+constexpr std::size_t kDecodeTileRows = 128;
+
 /// Attribute features augmented with the noisy graph's normalized in- and
 /// out-degree — cheap structural summaries of A_t. Degrees are normalized
 /// by this graph's own node count, so per-graph augmentation is what the
@@ -181,13 +186,10 @@ std::vector<Matrix> Denoiser::predict_batch(
   }
 
   // Pack: graph k's nodes occupy the row block [base_k, base_k + N_k);
-  // parent lists and pair endpoints shift into that block.
+  // parent lists shift into that block (the decoder shifts pair
+  // endpoints the same way as it reads them).
   Matrix packed(total_nodes, feature_dim() + 2);
   std::vector<std::vector<std::size_t>> parents(total_nodes);
-  std::vector<Pair> pairs;
-  pairs.reserve(total_pairs);
-  std::vector<std::uint8_t> state;
-  state.reserve(total_pairs);
   std::size_t base = 0;
   for (const GraphStepInput& item : batch) {
     const Matrix augmented = augment_features(*item.features, *item.parents);
@@ -200,11 +202,6 @@ std::vector<Matrix> Denoiser::predict_batch(
       plist.reserve((*item.parents)[i].size());
       for (std::size_t p : (*item.parents)[i]) plist.push_back(base + p);
     }
-    for (const Pair& p : *item.pairs) {
-      pairs.push_back({static_cast<std::uint32_t>(p.src + base),
-                       static_cast<std::uint32_t>(p.dst + base)});
-    }
-    state.insert(state.end(), item.state->begin(), item.state->end());
     base += n;
   }
 
@@ -258,38 +255,67 @@ std::vector<Matrix> Denoiser::predict_batch(
 
   // Decoder: pair rows [ (H_i (+ r)) ⊙ H_j | 0 + d | A_t bit ] — the same
   // expressions the mul/add-broadcast/concat tensor ops evaluate per
-  // row — then the head MLP over the whole packed pair block.
+  // row — built and scored kDecodeTileRows at a time, so one tile of
+  // rows and its head activations stay in L1 instead of streaming every
+  // pair of the batch through memory. The head is row-independent, so
+  // tiling changes no logit.
   const Tensor enc_t(nn::timestep_encoding(t, config_.time_dim));
   Matrix r_emb;
   if (!config_.symmetric_decoder) r_emb = relation_.forward(enc_t).value();
   const Matrix d = dtime_.forward(enc_t).value();
-  const float* rrow = r_emb.size() ? r_emb.data().data() : nullptr;
-  const float* drow = d.data().data();
-  const std::size_t in_dim = hidden + config_.time_dim + 1;
-  float* rows_buf = arena.alloc(total_pairs * in_dim);
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    if (k + 1 < pairs.size()) {
-      // The H gathers jump around the packed node block; hint the next
-      // pair's rows in while this one's row is built.
-      nn::prefetch_ro(h + pairs[k + 1].src * hidden);
-      nn::prefetch_ro(h + pairs[k + 1].dst * hidden);
-    }
-    float* row_out = rows_buf + k * in_dim;
-    const float* hi = h + pairs[k].src * hidden;
-    const float* hj = h + pairs[k].dst * hidden;
-    if (config_.symmetric_decoder) {
-      for (std::size_t j = 0; j < hidden; ++j) row_out[j] = hi[j] * hj[j];
-    } else {
+  const std::size_t time_dim = config_.time_dim;
+  // H_i + r(t) depends on the node alone: translate each packed node row
+  // once, with the same float add the per-pair expression would do.
+  const float* h_src = h;
+  if (!config_.symmetric_decoder) {
+    const float* rrow = r_emb.data().data();
+    float* translated = arena.alloc(total_nodes * hidden);
+    for (std::size_t g = 0; g < total_nodes; ++g) {
       for (std::size_t j = 0; j < hidden; ++j) {
-        row_out[j] = (hi[j] + rrow[j]) * hj[j];
+        translated[g * hidden + j] = h[g * hidden + j] + rrow[j];
       }
     }
-    for (std::size_t j = 0; j < config_.time_dim; ++j) {
-      row_out[hidden + j] = 0.0f + drow[j];  // matches add(zeros, d) exactly
-    }
-    row_out[hidden + config_.time_dim] = state[k] ? 1.0f : 0.0f;
+    h_src = translated;
   }
-  const float* logits = pw->head.forward_rows(arena, rows_buf, total_pairs);
+  // The d(t) columns are the same in every row: 0 + d, exactly what
+  // add(zeros, d) computes.
+  float* d_cols = arena.alloc(time_dim);
+  for (std::size_t j = 0; j < time_dim; ++j) d_cols[j] = 0.0f + d[j];
+  const std::size_t in_dim = hidden + time_dim + 1;
+  float* logits = arena.alloc(total_pairs);
+  float* tile = arena.alloc(kDecodeTileRows * in_dim);
+  std::size_t filled = 0;  // rows built in the current tile
+  std::size_t scored = 0;  // logits written so far
+  const auto score_tile = [&] {
+    const auto mark = arena.mark();
+    const float* out = pw->head.forward_rows(arena, tile, filled);
+    std::copy(out, out + filled, logits + scored);
+    arena.rewind(mark);
+    scored += filled;
+    filled = 0;
+  };
+  std::size_t node_base = 0;  // the current graph's first packed node row
+  for (const GraphStepInput& item : batch) {
+    const std::vector<Pair>& pairs = *item.pairs;
+    const std::vector<std::uint8_t>& state = *item.state;
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      if (k + 1 < pairs.size()) {
+        // The H gathers jump around the packed node block; hint the next
+        // pair's rows in while this one's row is built.
+        nn::prefetch_ro(h_src + (node_base + pairs[k + 1].src) * hidden);
+        nn::prefetch_ro(h + (node_base + pairs[k + 1].dst) * hidden);
+      }
+      float* row_out = tile + filled * in_dim;
+      const float* hi = h_src + (node_base + pairs[k].src) * hidden;
+      const float* hj = h + (node_base + pairs[k].dst) * hidden;
+      for (std::size_t j = 0; j < hidden; ++j) row_out[j] = hi[j] * hj[j];
+      std::copy(d_cols, d_cols + time_dim, row_out + hidden);
+      row_out[hidden + time_dim] = state[k] ? 1.0f : 0.0f;
+      if (++filled == kDecodeTileRows) score_tile();
+    }
+    node_base += item.features->rows();
+  }
+  if (filled != 0) score_tile();
 
   // Split the (sum P_k) x 1 logits back into per-graph blocks.
   std::vector<Matrix> out;

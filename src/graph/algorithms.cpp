@@ -218,8 +218,16 @@ std::vector<NodeId> driving_cone(const Graph& g, NodeId reg) {
 }
 
 std::vector<bool> observable_mask(const Graph& g) {
-  std::vector<bool> mask(g.num_nodes(), false);
+  std::vector<bool> mask;
   std::vector<NodeId> work;
+  observable_mask(g, mask, work);
+  return mask;
+}
+
+void observable_mask(const Graph& g, std::vector<bool>& mask,
+                     std::vector<NodeId>& work) {
+  mask.assign(g.num_nodes(), false);
+  work.clear();
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
     if (is_sink(g.type(i))) {
       mask[i] = true;
@@ -235,7 +243,6 @@ std::vector<bool> observable_mask(const Graph& g) {
       work.push_back(p);
     }
   }
-  return mask;
 }
 
 std::vector<std::size_t> out_degrees(const Graph& g) {

@@ -50,6 +50,12 @@ std::vector<NodeId> driving_cone(const Graph& g, NodeId reg);
 /// fan-out edges (i.e. it is observable and survives a dead-logic sweep).
 std::vector<bool> observable_mask(const Graph& g);
 
+/// The same mask written into caller-owned buffers (`mask` is resized to
+/// the node count, `work` is the traversal stack), so a caller that masks
+/// many graphs allocates only when one outgrows them.
+void observable_mask(const Graph& g, std::vector<bool>& mask,
+                     std::vector<NodeId>& work);
+
 /// Out-degree of every node (number of fan-in slots it drives).
 std::vector<std::size_t> out_degrees(const Graph& g);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -20,11 +21,34 @@ using graph::Graph;
 using graph::NodeId;
 using graph::NodeType;
 
-std::vector<double> pcs_features(const Graph& g) {
-  std::vector<double> f;
-  f.reserve(kPcsFeatureDim);
+namespace {
+
+/// Observable mask of `g` in this thread's reused buffers: scoring a state
+/// allocates nothing once they have grown to the largest graph seen.
+const std::vector<bool>& thread_observable_mask(const Graph& g) {
+  thread_local std::vector<bool> mask;
+  thread_local std::vector<NodeId> work;
+  graph::observable_mask(g, mask, work);
+  return mask;
+}
+
+/// observable_register_fraction's arithmetic on a computed mask.
+double register_fraction(const Graph& g, const std::vector<bool>& mask) {
+  double seen = 0.0, total = 0.0;
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    if (!graph::is_sequential(g.type(i))) continue;
+    const double w = g.width(i);
+    total += w;
+    if (mask[i]) seen += w;
+  }
+  return total > 0.0 ? seen / total : 0.0;
+}
+
+/// Writes pcs_features(g) to f[0, kPcsFeatureDim) and returns
+/// observable_register_fraction(g), both from one observable mask.
+double features_and_observability(const Graph& g, double* f) {
   const double n = std::max<std::size_t>(g.num_nodes(), 1);
-  const auto mask = graph::observable_mask(g);
+  const std::vector<bool>& mask = thread_observable_mask(g);
 
   std::size_t observable = 0;
   std::size_t observable_regs = 0, regs = 0;
@@ -38,27 +62,29 @@ std::vector<double> pcs_features(const Graph& g) {
       observable_regs += mask[i];
     }
   }
-  f.push_back(static_cast<double>(observable) / n);
-  f.push_back(regs ? static_cast<double>(observable_regs) / regs : 0.0);
-  f.push_back(total_width
-                  ? static_cast<double>(observable_width) / total_width
-                  : 0.0);
+  std::size_t d = 0;  // next feature slot
+  f[d++] = static_cast<double>(observable) / n;
+  f[d++] = regs ? static_cast<double>(observable_regs) / regs : 0.0;
+  f[d++] = total_width ? static_cast<double>(observable_width) / total_width
+                       : 0.0;
 
-  const auto deg = graph::out_degrees(g);
   double mean_deg = 0.0, max_deg = 0.0, zero_fanout = 0.0;
-  for (auto d : deg) {
-    mean_deg += static_cast<double>(d);
-    max_deg = std::max(max_deg, static_cast<double>(d));
-    zero_fanout += d == 0;
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    const std::size_t deg = g.fanouts(i).size();
+    mean_deg += static_cast<double>(deg);
+    max_deg = std::max(max_deg, static_cast<double>(deg));
+    zero_fanout += deg == 0;
   }
-  f.push_back(mean_deg / n);
-  f.push_back(max_deg / n);
-  f.push_back(zero_fanout / n);
-  f.push_back(static_cast<double>(g.num_edges()) / n);
+  f[d++] = mean_deg / n;
+  f[d++] = max_deg / n;
+  f[d++] = zero_fanout / n;
+  f[d++] = static_cast<double>(g.num_edges()) / n;
 
   // Observable arithmetic mass drives area: multiplier bits squared etc.
   double mul_mass = 0.0, add_mass = 0.0, mux_mass = 0.0;
+  std::size_t hist[graph::kNumNodeTypes] = {};
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    ++hist[static_cast<std::size_t>(g.type(i))];
     if (!mask[i]) continue;
     const double w = g.width(i);
     if (g.type(i) == NodeType::kMul) mul_mass += w * w;
@@ -67,17 +93,26 @@ std::vector<double> pcs_features(const Graph& g) {
     }
     if (g.type(i) == NodeType::kMux) mux_mass += w;
   }
-  f.push_back(mul_mass / n);
-  f.push_back(add_mass / n);
-  f.push_back(mux_mass / n);
+  f[d++] = mul_mass / n;
+  f[d++] = add_mass / n;
+  f[d++] = mux_mass / n;
 
-  const auto hist = g.type_histogram();
-  for (std::size_t t = 0; t < hist.size(); ++t) {  // 16 entries
-    f.push_back(static_cast<double>(hist[t]) / n);
+  // The type mix fills the remaining slots; types past the last slot are
+  // not features.
+  for (std::size_t t = 0; t < std::size(hist) && d < kPcsFeatureDim; ++t) {
+    f[d++] = static_cast<double>(hist[t]) / n;
   }
   // Pad defensively if the node-type vocabulary ever shrinks.
-  while (f.size() < kPcsFeatureDim) f.push_back(0.0);
-  f.resize(kPcsFeatureDim);
+  while (d < kPcsFeatureDim) f[d++] = 0.0;
+
+  return register_fraction(g, mask);
+}
+
+}  // namespace
+
+std::vector<double> pcs_features(const Graph& g) {
+  std::vector<double> f(kPcsFeatureDim);
+  features_and_observability(g, f.data());
   return f;
 }
 
@@ -149,6 +184,20 @@ double PcsDiscriminator::predict(const Graph& g) const {
 
 std::vector<double> PcsDiscriminator::score_batch(
     std::span<const Graph> gs) const {
+  return score_rows(gs, nullptr);
+}
+
+std::vector<double> PcsDiscriminator::score_batch(
+    std::span<const Graph> gs, std::span<double> observable) const {
+  if (observable.size() != gs.size()) {
+    throw std::invalid_argument(
+        "PcsDiscriminator::score_batch: observable/graph count mismatch");
+  }
+  return score_rows(gs, observable.data());
+}
+
+std::vector<double> PcsDiscriminator::score_rows(std::span<const Graph> gs,
+                                                 double* observable) const {
   if (!fitted_) {
     throw std::logic_error("PcsDiscriminator::score_batch before fit");
   }
@@ -160,7 +209,9 @@ std::vector<double> PcsDiscriminator::score_batch(
   arena.reset();
   float* x = arena.alloc(gs.size() * kPcsFeatureDim);
   for (std::size_t i = 0; i < gs.size(); ++i) {
-    const auto f = pcs_features(gs[i]);
+    double f[kPcsFeatureDim];
+    const double fraction = features_and_observability(gs[i], f);
+    if (observable != nullptr) observable[i] = fraction;
     float* row = x + i * kPcsFeatureDim;
     for (std::size_t j = 0; j < kPcsFeatureDim; ++j) {
       row[j] = static_cast<float>((f[j] - mean_[j]) / stddev_[j]);
@@ -189,15 +240,7 @@ RewardFn exact_pcs_reward() {
 }
 
 double observable_register_fraction(const Graph& g) {
-  const auto mask = graph::observable_mask(g);
-  double seen = 0.0, total = 0.0;
-  for (NodeId i = 0; i < g.num_nodes(); ++i) {
-    if (!graph::is_sequential(g.type(i))) continue;
-    const double w = g.width(i);
-    total += w;
-    if (mask[i]) seen += w;
-  }
-  return total > 0.0 ? seen / total : 0.0;
+  return register_fraction(g, thread_observable_mask(g));
 }
 
 RewardFn hybrid_reward(const PcsDiscriminator& discriminator, double bonus) {
@@ -221,11 +264,13 @@ Reward hybrid_reward_model(const PcsDiscriminator& discriminator,
   const double scale = std::max(discriminator.label_scale(), 1e-9);
   BatchRewardFn batch = [&discriminator, bonus,
                          scale](std::span<const Graph> gs) {
-    const std::vector<double> raw = discriminator.score_batch(gs);
+    // One observable mask per state feeds both terms: `out` first
+    // receives each state's observable_register_fraction.
     std::vector<double> out(gs.size());
+    const std::vector<double> raw = discriminator.score_batch(gs, out);
     for (std::size_t i = 0; i < gs.size(); ++i) {
       const double learned = std::clamp(raw[i] / scale, 0.0, 1.0);
-      out[i] = bonus * observable_register_fraction(gs[i]) + learned;
+      out[i] = bonus * out[i] + learned;
     }
     return out;
   };

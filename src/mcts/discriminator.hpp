@@ -46,6 +46,14 @@ class PcsDiscriminator {
   [[nodiscard]] std::vector<double> score_batch(
       std::span<const graph::Graph> gs) const;
 
+  /// score_batch that also writes observable_register_fraction(gs[i]) to
+  /// observable[i], from the one observable mask the features already
+  /// need — the hybrid reward's path. `observable` must have gs.size()
+  /// entries (else std::invalid_argument); both outputs are bitwise those
+  /// of the separate calls.
+  [[nodiscard]] std::vector<double> score_batch(
+      std::span<const graph::Graph> gs, std::span<double> observable) const;
+
   [[nodiscard]] bool fitted() const { return fitted_; }
   /// Largest PCS label seen in training; used to normalize predictions.
   [[nodiscard]] double label_scale() const { return label_scale_; }
@@ -54,6 +62,10 @@ class PcsDiscriminator {
   [[nodiscard]] RewardFn as_reward() const;
 
  private:
+  /// Both score_batch overloads; `observable` may be null.
+  [[nodiscard]] std::vector<double> score_rows(
+      std::span<const graph::Graph> gs, double* observable) const;
+
   util::Rng rng_;
   nn::Mlp net_;
   nn::PackedMlp packed_;  // built once per fit(); read-only afterwards

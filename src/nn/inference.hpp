@@ -23,10 +23,10 @@
 //     gates (and the z/r hidden gates) into single column-concatenated
 //     matrices so one tiled matmul feeds all gates.
 //   * mlp_forward_rows / gru_forward_rows — fused row kernels whose
-//     inner loops (contiguous axpy over the output row, bias+activation
-//     epilogues) run on the runtime-dispatched SIMD tier (nn/simd.hpp:
-//     AVX-512F / AVX2 / SSE2 / scalar, selected per process by CPUID),
-//     with L2-aware k/j tiling.
+//     matmuls (register-blocked when the weights fit half of L1d, L2-aware
+//     k/j tiling otherwise) and bias+activation epilogues run on the
+//     runtime-dispatched SIMD tier (nn/simd.hpp: AVX-512F / AVX2 / SSE2 /
+//     scalar, selected per process by CPUID).
 //
 // Bitwise contract: every kernel reproduces the tensor ops' arithmetic
 // exactly — nn::matmul's (i, k ascending with the zero-skip, j) loop
@@ -72,11 +72,12 @@ MatmulPlan plan_matmul(std::size_t k_dim, std::size_t n,
                        const CacheGeometry& geo);
 
 /// C = A * B, tiled per `plan`, with nn::matmul's exact per-element
-/// accumulation order (k ascending, zero-skip on A entries) — bitwise
-/// equal to the tensor op at any tile size, because k-tiles are visited
-/// in ascending order and j-tiling never touches the accumulation
-/// sequence of a single C element. C is zeroed first; the inner axpy runs
-/// on the dispatched SIMD tier (nn/simd.hpp). A, B and C must not overlap.
+/// accumulation order (from +0, k ascending, zero-skip on A entries) —
+/// bitwise equal to the tensor op at any tile size, because k-tiles are
+/// visited in ascending order and neither j-tiling nor register blocking
+/// touches the accumulation sequence of a single C element. Every C
+/// element is written, none is read; the kernel runs on the dispatched
+/// SIMD tier (nn/simd.hpp). A, B and C must not overlap.
 inline void matmul_rows(const float* a, std::size_t rows, std::size_t k_dim,
                         const float* b, std::size_t n, float* c,
                         const MatmulPlan& plan) {

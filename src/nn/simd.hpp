@@ -11,11 +11,20 @@
 //
 // Bitwise contract (the same one nn/inference.hpp states against the
 // tensor path): every tier vectorizes across *output columns only* —
-// each c[j] keeps its k-ascending accumulation order and the zero-skip —
-// and uses separate mul + add steps (the tier TUs are compiled with
-// -ffp-contract=off and no FMA), so each element's float rounding
-// sequence is identical in every tier. All tiers therefore return
-// bit-identical results; the dispatch level is a pure throughput knob.
+// each c[j] accumulates from +0 in k-ascending order and skips zero A
+// entries — and uses separate mul + add steps (the tier TUs are compiled
+// with -ffp-contract=off and no FMA), so each element's float rounding
+// sequence is identical in every tier. The vector tiers' single-slab
+// matmul is register-blocked (a block of rows x column groups of C stays
+// in registers for the whole k loop) and skips zeros without a branch:
+// it adds a masked product that is +0 where the A entry is ±0. Adding +0
+// is the same as skipping, because an accumulator that starts at +0 can
+// never become -0, and x + (+0) == x for every other x, NaN and ±inf
+// included; the mask also keeps 0 * inf from ever forming. The scalar
+// tier keeps nn::matmul's branching axpy loop, which the compiler widens
+// where a per-element select would stay scalar. All tiers therefore
+// return bit-identical results; the dispatch level is a pure throughput
+// knob.
 //
 // Selection order, resolved once at first kernel use:
 //   1. SYN_SIMD_LEVEL=scalar|sse2|avx2|avx512 (testing/ops override;
@@ -64,8 +73,9 @@ SimdLevel refresh_simd_level();
 /// One tier's kernel table. All pointers are always non-null.
 struct SimdKernels {
   /// C = A (rows x k_dim) * B (k_dim x n), tiled per `plan`, with
-  /// nn::matmul's exact per-element accumulation order (k ascending,
-  /// zero-skip on A entries). C is zeroed first. No aliasing allowed.
+  /// nn::matmul's exact per-element accumulation order (from +0, k
+  /// ascending, zero-skip on A entries). Every element of C is written;
+  /// its prior contents are never read. No aliasing allowed.
   void (*matmul_rows)(const float* a, std::size_t rows, std::size_t k_dim,
                       const float* b, std::size_t n, float* c,
                       const MatmulPlan& plan);

@@ -24,6 +24,12 @@ struct Avx2V {
   // vmaxps returns SRC2 for NaN/both-zero, so v as SRC1 matches the
   // scalar `v > 0.0f ? v : 0.0f` bitwise.
   static reg max0(reg v) { return _mm256_max_ps(v, _mm256_setzero_ps()); }
+  // a * b ANDed with an unordered not-equal mask: the product where
+  // a != 0 or a is NaN, +0 elsewhere.
+  static reg mul_nz(reg a, reg b) {
+    return _mm256_and_ps(_mm256_mul_ps(a, b),
+                         _mm256_cmp_ps(a, _mm256_setzero_ps(), _CMP_NEQ_UQ));
+  }
 };
 
 const SimdKernels kTable = make_kernels<Avx2V>();

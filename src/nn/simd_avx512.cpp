@@ -28,6 +28,13 @@ struct Avx512V {
     const reg zero = _mm512_setzero_ps();
     return _mm512_mask_max_ps(zero, 0xFFFF, v, zero);
   }
+  // Zero-masked multiply under an unordered not-equal mask: a * b where
+  // a != 0 or a is NaN, +0 elsewhere.
+  static reg mul_nz(reg a, reg b) {
+    const __mmask16 nz =
+        _mm512_cmp_ps_mask(a, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    return _mm512_maskz_mul_ps(nz, a, b);
+  }
 };
 
 const SimdKernels kTable = make_kernels<Avx512V>();

@@ -24,6 +24,11 @@ struct Sse2V {
   // with v as SRC1 this matches `v > 0.0f ? v : 0.0f` bitwise
   // (NaN -> +0, -0 -> +0, +0 -> +0).
   static reg max0(reg v) { return _mm_max_ps(v, _mm_setzero_ps()); }
+  // cmpneqps is the unordered "not equal" (NaN compares true), so the
+  // AND keeps a * b wherever a != 0 or a is NaN and yields +0 elsewhere.
+  static reg mul_nz(reg a, reg b) {
+    return _mm_and_ps(_mm_mul_ps(a, b), _mm_cmpneq_ps(a, _mm_setzero_ps()));
+  }
 };
 
 const SimdKernels kTable = make_kernels<Sse2V>();

@@ -7,8 +7,11 @@
 // misaligned vector loads).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -413,6 +416,119 @@ TEST_F(SimdLevelSweep, GruForwardBitwiseIdenticalAcrossTiers) {
           packed, arena, x_steps[step].data().data(), h.data(), batch);
       expect_bitwise_equal(next, references[step]);
       std::copy(next, next + h.size(), h.begin());
+    }
+  }
+}
+
+// The register-blocked single-slab kernel against nn::matmul, bit for
+// bit, over shapes that hit every row block (8) and leftover row, every
+// column-group count (1-4 per block, more than one block) and the scalar
+// column tail at every vector width. A carries exact +0 and -0; the B
+// rows behind all-zero A columns carry +inf, -inf and NaN, which the
+// skipping reference never reads — so the kernel's masked +0 must equal a
+// skip even where a plain multiply would make NaN.
+TEST_F(SimdLevelSweep, MatmulRowsBlockedMatchesSkippingReference) {
+  util::Rng rng(505);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN()};
+  for (const SimdLevel level : host_levels()) {
+    ASSERT_EQ(use(level), level);
+    for (const std::size_t rows : {1, 7, 8, 9, 17}) {
+      for (const std::size_t k_dim : {1, 24, 49}) {
+        for (const std::size_t n : {1, 3, 15, 16, 17, 32, 33, 64, 65}) {
+          Matrix a(rows, k_dim);
+          Matrix b(k_dim, n);
+          for (std::size_t k = 0; k < k_dim; ++k) {
+            const bool zero_column = k % 5 == 2;
+            for (std::size_t i = 0; i < rows; ++i) {
+              const std::size_t pick = rng.uniform_int(3);
+              float v = static_cast<float>(rng.uniform(-2.0, 2.0));
+              if (zero_column || pick == 0) v = (i + k) % 2 ? -0.0f : 0.0f;
+              a.at(i, k) = v;
+            }
+            for (std::size_t j = 0; j < n; ++j) {
+              b.at(k, j) = zero_column
+                               ? specials[(j + k) % 3]
+                               : static_cast<float>(rng.uniform(-2.0, 2.0));
+            }
+          }
+          const Matrix reference = matmul(a, b);
+          std::vector<float> c(rows * n, -1.0f);
+          matmul_rows(a.data().data(), rows, k_dim, b.data().data(), n,
+                      c.data(), MatmulPlan{});
+          for (std::size_t e = 0; e < c.size(); ++e) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(c[e]),
+                      std::bit_cast<std::uint32_t>(reference[e]))
+                << to_string(level) << " rows " << rows << " k " << k_dim
+                << " n " << n << " element " << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+// predict_batch builds and scores pair rows one tile at a time. At the
+// production denoiser shape, three graphs of 13, 17 and 11 nodes give 538
+// pairs, so graph boundaries fall inside tiles and the last tile is
+// ragged; every logit must still equal the tensor path's encode + decode.
+TEST_F(SimdLevelSweep, DenoiserDecodeTilesMatchScalarPath) {
+  util::Rng rng(506);
+  diffusion::Denoiser denoiser(
+      {.mpnn_layers = 3, .hidden = 32, .time_dim = 16}, rng);
+  std::vector<Matrix> features;
+  std::vector<std::vector<std::vector<std::size_t>>> parents;
+  std::vector<std::vector<diffusion::Pair>> pairs;
+  std::vector<std::vector<std::uint8_t>> state;
+  for (const std::size_t n :
+       {std::size_t{13}, std::size_t{17}, std::size_t{11}}) {
+    features.push_back(
+        random_matrix(n, diffusion::Denoiser::feature_dim(), rng));
+    std::vector<std::vector<std::size_t>> plist(n);
+    std::vector<diffusion::Pair> ps;
+    std::vector<std::uint8_t> st;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        const bool edge = rng.uniform(0.0, 1.0) < 0.2;
+        if (edge) plist[j].push_back(i);
+        ps.push_back(
+            {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
+        st.push_back(edge ? 1 : 0);
+      }
+    }
+    parents.push_back(std::move(plist));
+    pairs.push_back(std::move(ps));
+    state.push_back(std::move(st));
+  }
+  std::vector<diffusion::GraphStepInput> batch;
+  for (std::size_t g = 0; g < features.size(); ++g) {
+    batch.push_back({&features[g], &parents[g], &pairs[g], &state[g]});
+  }
+  ASSERT_EQ(pairs[0].size() + pairs[1].size() + pairs[2].size(), 538u);
+
+  for (const int t : {1, 6}) {
+    std::vector<Matrix> reference;
+    {
+      NoGradGuard guard;
+      for (std::size_t g = 0; g < features.size(); ++g) {
+        const Tensor h = denoiser.encode(features[g], parents[g], t);
+        reference.push_back(denoiser.decode(h, pairs[g], state[g], t).value());
+      }
+    }
+    for (const SimdLevel level : host_levels()) {
+      ASSERT_EQ(use(level), level);
+      const std::vector<Matrix> got = denoiser.predict_batch(batch, t);
+      ASSERT_EQ(got.size(), reference.size());
+      for (std::size_t g = 0; g < got.size(); ++g) {
+        ASSERT_EQ(got[g].size(), reference[g].size());
+        for (std::size_t i = 0; i < got[g].size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[g][i]),
+                    std::bit_cast<std::uint32_t>(reference[g][i]))
+              << "graph " << g << " pair " << i << " t " << t << " tier "
+              << to_string(level);
+        }
+      }
     }
   }
 }

@@ -271,6 +271,29 @@ TEST(Discriminator, ScoreBatchMatchesScalarPredict) {
   }
 }
 
+TEST(Discriminator, ScoreBatchObservabilityMatchesSeparateCalls) {
+  const PcsDiscriminator& disc = shared_discriminator();
+  std::vector<Graph> batch;
+  for (std::uint64_t s = 90; s < 94; ++s) {
+    batch.push_back(redundant_circuit(20 + (s % 3) * 10, s));
+  }
+  for (auto& d : rtl::make_corpus({.seed = 6})) {
+    batch.push_back(std::move(d.graph));
+  }
+  // The hybrid reward's path: one observable mask per state feeds both
+  // outputs, each bitwise equal to its separate public call.
+  std::vector<double> observable(batch.size(), -1.0);
+  const std::vector<double> scores = disc.score_batch(batch, observable);
+  EXPECT_EQ(scores, disc.score_batch(batch));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(observable[i], observable_register_fraction(batch[i]))
+        << "graph " << i;
+  }
+  std::vector<double> short_out(batch.size() - 1);
+  EXPECT_THROW((void)disc.score_batch(batch, short_out),
+               std::invalid_argument);
+}
+
 TEST(Mcts, RewardBatchingDoesNotChangeSearchResults) {
   // Whether a reward carries a batch path is a pure throughput choice: the
   // search trajectory and the returned graph must be identical with the
