@@ -34,41 +34,10 @@
 #include "synth/synthesizer.hpp"
 #include "tests/support/fixtures.hpp"
 #include "util/batching.hpp"
-#include "util/perf_counters.hpp"
 
 namespace {
 
 using namespace syn;
-
-/// RAII cache-miss column for a benchmark: counts hardware cache
-/// misses/references across the timing loop (perf_event, self-process,
-/// user-space) and reports them as extra row counters. Where perf events
-/// are unavailable (sandboxed container, paranoid kernel) the column is
-/// skipped cleanly — the row simply has no cache counters.
-class CacheMissColumn {
- public:
-  explicit CacheMissColumn(benchmark::State& state) : state_(state) {
-    counters_.start();
-  }
-  ~CacheMissColumn() {
-    counters_.stop();
-    if (!counters_.available() || state_.iterations() == 0) return;
-    const auto iters = static_cast<double>(state_.iterations());
-    state_.counters["cache_misses_per_iter"] = benchmark::Counter(
-        static_cast<double>(counters_.misses()) / iters);
-    if (counters_.references() > 0) {
-      state_.counters["cache_miss_rate"] = benchmark::Counter(
-          static_cast<double>(counters_.misses()) /
-          static_cast<double>(counters_.references()));
-    }
-  }
-  CacheMissColumn(const CacheMissColumn&) = delete;
-  CacheMissColumn& operator=(const CacheMissColumn&) = delete;
-
- private:
-  benchmark::State& state_;
-  util::PerfCacheCounters counters_;
-};
 
 void BM_Bitblast(benchmark::State& state) {
   const auto g = rtl::make_alu(static_cast<int>(state.range(0)));
@@ -141,7 +110,6 @@ void BM_DenoiserStep(benchmark::State& state) {
       }
     }
   }
-  const CacheMissColumn cache(state);
   for (auto _ : state) {
     const auto h = den.encode(features, parents, 3);
     benchmark::DoNotOptimize(den.decode(h, pairs, bits, 3));
@@ -162,13 +130,13 @@ const diffusion::DiffusionModel& production_diffusion() {
   return *model;
 }
 
-/// Phase 1 at the production config: one chunk of 8 reverse-diffusion
-/// chains per iteration, attributes drawn as production draws them
-/// (AttrSampler over the corpus at default_attr_nodes(i): 60/80/100
-/// nodes). Arg is the number of chains advanced per packed denoiser
-/// forward: 1 is the scalar per-graph sample() loop, 8 one production
-/// chunk. Outputs are bit-identical across rows; items_per_second is
-/// designs per second.
+/// Phase 1 at the production config: 8 reverse-diffusion chains per
+/// iteration, attributes drawn as production draws them (AttrSampler over
+/// the corpus at default_attr_nodes(i): 60/80/100 nodes). Arg is the
+/// number of chains per DiffusionModel::sample_batch call: 1 is what
+/// SynCircuitGenerator runs (one chain per design), 8 the lockstep shape
+/// of one packed denoiser forward for all 8 chains. Outputs are
+/// bit-identical across rows; items_per_second is designs per second.
 void BM_DiffusionSample(benchmark::State& state) {
   const auto& model = production_diffusion();
   constexpr std::size_t kChains = 8;
@@ -181,22 +149,14 @@ void BM_DiffusionSample(benchmark::State& state) {
   }
   const auto seeds = util::split_streams(31, kChains);
   const auto chunk = static_cast<std::size_t>(state.range(0));
-  const CacheMissColumn cache(state);
   for (auto _ : state) {
-    if (chunk <= 1) {
-      for (std::size_t i = 0; i < kChains; ++i) {
-        util::Rng rng(seeds[i]);
-        benchmark::DoNotOptimize(model.sample(attrs[i], rng));
-      }
-    } else {
-      util::for_each_chunk(kChains, chunk, [&](std::size_t lo, std::size_t n) {
-        std::vector<util::Rng> rngs;
-        rngs.reserve(n);
-        for (std::size_t k = 0; k < n; ++k) rngs.emplace_back(seeds[lo + k]);
-        benchmark::DoNotOptimize(
-            model.sample_batch({attrs.data() + lo, n}, rngs));
-      });
-    }
+    util::for_each_chunk(kChains, chunk, [&](std::size_t lo, std::size_t n) {
+      std::vector<util::Rng> rngs;
+      rngs.reserve(n);
+      for (std::size_t k = 0; k < n; ++k) rngs.emplace_back(seeds[lo + k]);
+      benchmark::DoNotOptimize(
+          model.sample_batch({attrs.data() + lo, n}, rngs));
+    });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChains));
@@ -295,11 +255,6 @@ core::GeneratorModel& fitted_backend(const std::string& name) {
     cfg.seed = 9;
     cfg.epochs = 2;
     cfg.hidden = 16;
-    cfg.syncircuit.diffusion.steps = 4;
-    cfg.syncircuit.diffusion.denoiser = {.mpnn_layers = 2, .hidden = 16,
-                                         .time_dim = 8};
-    cfg.syncircuit.mcts = {.simulations = 12, .max_depth = 4,
-                           .actions_per_state = 4, .max_registers = 3};
     auto model = core::make_generator(name, cfg);
     model->fit({rtl::make_counter(4), rtl::make_fifo_ctrl(2),
                 rtl::make_fsm(2, 2)});
@@ -308,12 +263,13 @@ core::GeneratorModel& fitted_backend(const std::string& name) {
   return *it->second;
 }
 
-/// Batch-first generation throughput per backend: 8 designs per
-/// iteration through generate_batch (batch 4, single thread).
-/// items_per_second is the comparable counter; outputs are invariant to
-/// the batch/thread shape, so rows measure the batch loop plus the model.
-/// SynCircuit uses its packed diffusion override; the four baselines run
-/// the inherited ThreadPool-sharded default.
+/// Batch-first generation throughput per baseline backend: 8 designs per
+/// iteration through the inherited default generate_batch (batch 4, single
+/// thread). items_per_second is the comparable counter; outputs are
+/// invariant to the batch/thread shape, so rows measure the batch loop
+/// plus the model. SynCircuit has no row: the end-to-end benchmark's
+/// dataset-syncircuit workload runs its generate_batch at the production
+/// config.
 void BM_GenerateBatch(benchmark::State& state, const char* backend) {
   auto& model = fitted_backend(backend);
   constexpr std::size_t kItems = 8;
@@ -326,7 +282,6 @@ void BM_GenerateBatch(benchmark::State& state, const char* backend) {
     attrs.push_back(sampler.sample(20, attr_rng));
   }
   const auto seeds = util::split_streams(17, kItems);
-  const CacheMissColumn cache(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         model.generate_batch(attrs, seeds, {.batch = 4, .threads = 1}));
@@ -335,7 +290,6 @@ void BM_GenerateBatch(benchmark::State& state, const char* backend) {
                           static_cast<std::int64_t>(kItems));
   state.SetLabel(nn::active_simd_level_name());
 }
-BENCHMARK_CAPTURE(BM_GenerateBatch, syncircuit, "syncircuit");
 BENCHMARK_CAPTURE(BM_GenerateBatch, graphrnn, "graphrnn");
 BENCHMARK_CAPTURE(BM_GenerateBatch, dvae, "dvae");
 BENCHMARK_CAPTURE(BM_GenerateBatch, graphmaker, "graphmaker");
@@ -350,7 +304,6 @@ void BM_DiscriminatorScore(benchmark::State& state) {
     batch.push_back(redundant_circuit(48, 20 + s));
   }
   const auto chunk = static_cast<std::size_t>(state.range(0));
-  const CacheMissColumn cache(state);
   for (auto _ : state) {
     if (chunk <= 1) {
       for (const auto& g : batch) benchmark::DoNotOptimize(disc.predict(g));

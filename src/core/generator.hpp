@@ -5,8 +5,10 @@
 // point for dataset production, and the scalar `generate` is the one
 // method a backend must implement. The default `generate_batch` shards
 // the scalar path across a `util::ThreadPool`, so every backend gets
-// parallel batched generation for free; backends with a cheaper packed
-// path (SynCircuit's lockstep diffusion chains) override it.
+// parallel batched generation for free. All five registered backends
+// use it; the method stays virtual so a wrapper (an instrumented model,
+// say) can substitute its own batch loop under the same per-item RNG
+// contract.
 #pragma once
 
 #include <cstddef>
@@ -27,11 +29,10 @@ namespace syn::core {
 /// generate_batch call is driven entirely by its own util::Rng seeded
 /// with seeds[i].
 struct GenerateBatchOptions {
-  /// Items grouped per chunk. For backends with a packed kernel
-  /// (SynCircuit) this is the number of diffusion chains advanced per
-  /// packed denoiser forward; for the default implementation it is only
-  /// the work-unit size handed to each pool task. <= 1 degrades to
-  /// per-item chunks.
+  /// Items grouped per chunk: the work unit handed to each pool task.
+  /// The dataset service also sizes its default producer group from it
+  /// (batch × threads designs per generate_batch call and checkpoint).
+  /// <= 1 degrades to per-item chunks.
   std::size_t batch = 8;
   /// util::ThreadPool shards running whole chunks concurrently (<= 1
   /// runs chunks inline on the caller).
@@ -61,8 +62,8 @@ class GeneratorModel {
   ///
   /// The default implementation chunks items by options.batch and runs
   /// the scalar generate() per item, sharding whole chunks across a
-  /// util::ThreadPool when options.threads > 1. Backends override it to
-  /// substitute a packed kernel, keeping the same per-item RNG contract.
+  /// util::ThreadPool when options.threads > 1. An override must keep the
+  /// same per-item RNG contract.
   [[nodiscard]] virtual std::vector<graph::Graph> generate_batch(
       std::span<const graph::NodeAttrs> attrs_list,
       std::span<const std::uint64_t> seeds,

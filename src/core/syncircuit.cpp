@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "graph/validity.hpp"
-#include "util/batching.hpp"
-#include "util/thread_pool.hpp"
+#include "graph/adjacency.hpp"
 
 namespace syn::core {
 
@@ -103,9 +100,10 @@ SynCircuitGenerator::Phases SynCircuitGenerator::run_phases(
   AdjacencyMatrix gini(n);
   nn::Matrix edge_prob(n, n);
   if (config_.use_diffusion) {
-    auto sample = diffusion_.sample(attrs, rng);
-    gini = std::move(sample.adjacency);
-    edge_prob = std::move(sample.edge_prob);
+    // One chain on the fused inference path: bit-identical to sample().
+    auto phase1 = diffusion_.sample_batch({&attrs, 1}, {&rng, 1});
+    gini = std::move(phase1[0].adjacency);
+    edge_prob = std::move(phase1[0].edge_prob);
   } else {
     // Ablation ("SynCircuit w/o diff"): random edges at corpus density,
     // uniform-random probabilities for the repair ranking.
@@ -130,82 +128,9 @@ SynCircuitGenerator::Phases SynCircuitGenerator::run_phases(
 }
 
 Graph SynCircuitGenerator::generate(const NodeAttrs& attrs, util::Rng& rng) {
-  Phases phases = run_phases(attrs, rng);
-  Graph result = std::move(phases.gopt);
+  Graph result = std::move(run_phases(attrs, rng).gopt);
   result.set_name("syncircuit");
   return result;
-}
-
-std::vector<Graph> SynCircuitGenerator::generate_batch(
-    std::span<const NodeAttrs> attrs_list, std::span<const std::uint64_t> seeds,
-    const GenerateBatchOptions& options) {
-  if (!fitted_) throw std::logic_error("SynCircuit: generate before fit");
-  if (attrs_list.size() != seeds.size()) {
-    throw std::invalid_argument("generate_batch: attrs/seeds size mismatch");
-  }
-  const std::size_t count = attrs_list.size();
-  std::vector<Graph> out(count);
-  if (count == 0) return out;
-
-  // Chunk layout up front; boundaries never influence results because
-  // every item owns the whole RNG stream Rng(seeds[i]) — chunking only
-  // decides which items share a packed Phase 1 forward.
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  util::for_each_chunk(count, options.batch,
-                       [&](std::size_t lo, std::size_t n) {
-                         chunks.emplace_back(lo, n);
-                       });
-
-  const mcts::Reward reward_model = reward();
-  const auto run_chunk = [&](std::size_t lo, std::size_t n) {
-    std::vector<util::Rng> rngs;
-    rngs.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) rngs.emplace_back(seeds[lo + k]);
-
-    // Phase 1, whole chunk: n lockstep reverse chains, one packed
-    // denoiser forward per step.
-    std::vector<diffusion::DiffusionSample> phase1;
-    if (config_.use_diffusion) {
-      phase1 = diffusion_.sample_batch(attrs_list.subspan(lo, n), rngs);
-    }
-
-    // Phases 2–3 per item, continuing the item's RNG where Phase 1 left
-    // it — exactly the scalar run_phases sequence.
-    for (std::size_t k = 0; k < n; ++k) {
-      const NodeAttrs& attrs = attrs_list[lo + k];
-      const std::size_t num = attrs.size();
-      AdjacencyMatrix gini(num);
-      nn::Matrix edge_prob(num, num);
-      if (config_.use_diffusion) {
-        gini = std::move(phase1[k].adjacency);
-        edge_prob = std::move(phase1[k].edge_prob);
-      } else {
-        for (std::size_t i = 0; i < num; ++i) {
-          for (std::size_t j = 0; j < num; ++j) {
-            if (i != j) gini.set(i, j, rngs[k].bernoulli(corpus_density_));
-            edge_prob.at(i, j) = static_cast<float>(rngs[k].uniform());
-          }
-        }
-      }
-      Graph gval = repair_to_valid(attrs, gini, edge_prob, rngs[k]);
-      Graph gopt = config_.optimize
-                       ? mcts::optimize_registers(gval, config_.mcts,
-                                                  reward_model, rngs[k])
-                       : std::move(gval);
-      gopt.set_name("syncircuit");
-      out[lo + k] = std::move(gopt);
-    }
-  };
-
-  if (options.threads > 1 && chunks.size() > 1) {
-    util::ThreadPool pool(static_cast<std::size_t>(options.threads));
-    pool.parallel_for(chunks.size(), [&](std::size_t c) {
-      run_chunk(chunks[c].first, chunks[c].second);
-    });
-  } else {
-    for (const auto& [lo, n] : chunks) run_chunk(lo, n);
-  }
-  return out;
 }
 
 Graph SynCircuitGenerator::optimize_only(const Graph& gval,

@@ -7,12 +7,14 @@
 //   Phase 2  probability-guided repair to a constraint-satisfying G_val;
 //   Phase 3  MCTS redundancy optimization to G_opt (skippable for the
 //            "SynCircuit w/o opt" ablation of Table III).
+//
+// run_phases is the one per-design body: generate() returns its G_opt,
+// and generate_batch is GeneratorModel's default, one generate() per item.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -43,26 +45,15 @@ class SynCircuitGenerator : public GeneratorModel {
   explicit SynCircuitGenerator(SynCircuitConfig config);
 
   void fit(const std::vector<graph::Graph>& corpus) override;
+  /// Returns run_phases(attrs, rng).gopt, named "syncircuit".
   graph::Graph generate(const graph::NodeAttrs& attrs,
                         util::Rng& rng) override;
   [[nodiscard]] std::string name() const override;
 
-  // The (attrs, seed, options) convenience overload from the base class.
-  using GeneratorModel::generate_batch;
-
-  /// Packed override of the batch-first contract (same per-item RNG
-  /// semantics as the base: result[i] is bit-identical to
-  /// generate(attrs_list[i], util::Rng(seeds[i])) at any batch size and
-  /// thread count). Phase 1 runs K chains per chunk through
-  /// DiffusionModel::sample_batch (one packed MPNN forward per denoising
-  /// step); Phases 2–3 run per item.
-  [[nodiscard]] std::vector<graph::Graph> generate_batch(
-      std::span<const graph::NodeAttrs> attrs_list,
-      std::span<const std::uint64_t> seeds,
-      const GenerateBatchOptions& options = {}) override;
-
   /// All three phase outputs, for the experiments that inspect
-  /// intermediate stages (Fig 4 compares G_val with G_opt).
+  /// intermediate stages (Fig 4 compares G_val with G_opt). Phase 1 draws
+  /// one chain through DiffusionModel::sample_batch (the fused inference
+  /// path); Phases 2–3 continue on the same rng.
   struct Phases {
     graph::AdjacencyMatrix gini;
     graph::Graph gval;

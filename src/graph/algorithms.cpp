@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <stack>
 #include <utility>
 #include <vector>
 
@@ -13,18 +12,28 @@ namespace syn::graph {
 bool comb_path_exists(const Graph& g, NodeId src, NodeId dst) {
   if (src >= g.num_nodes() || dst >= g.num_nodes()) return false;
   if (is_sequential(g.type(src)) || is_sequential(g.type(dst))) return false;
-  std::vector<bool> visited(g.num_nodes(), false);
-  std::stack<NodeId> work;
-  work.push(src);
-  visited[src] = true;
+  // Per-thread scratch, reused across calls: a node is visited in this
+  // call iff its stamp equals this call's epoch, so once the buffers have
+  // grown to the largest graph seen a call neither clears nor allocates.
+  thread_local std::vector<std::uint32_t> stamp;
+  thread_local std::vector<NodeId> work;
+  thread_local std::uint32_t epoch = 0;
+  if (stamp.size() < g.num_nodes()) stamp.resize(g.num_nodes(), 0);
+  if (++epoch == 0) {  // wrapped: a stale stamp could equal the new epoch
+    std::fill(stamp.begin(), stamp.end(), 0);
+    epoch = 1;
+  }
+  work.clear();
+  work.push_back(src);
+  stamp[src] = epoch;
   while (!work.empty()) {
-    const NodeId n = work.top();
-    work.pop();
+    const NodeId n = work.back();
+    work.pop_back();
     if (n == dst) return true;
     for (NodeId next : g.fanouts(n)) {
-      if (visited[next] || is_sequential(g.type(next))) continue;
-      visited[next] = true;
-      work.push(next);
+      if (stamp[next] == epoch || is_sequential(g.type(next))) continue;
+      stamp[next] = epoch;
+      work.push_back(next);
     }
   }
   return false;

@@ -4,12 +4,18 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/postprocess.hpp"
+#include "core/registry.hpp"
 #include "core/syncircuit.hpp"
+#include "diffusion/model.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/validity.hpp"
+#include "mcts/discriminator.hpp"
+#include "mcts/mcts.hpp"
 #include "rtl/generators.hpp"
+#include "server/daemon.hpp"
 #include "synth/synthesizer.hpp"
 
 namespace syn::core {
@@ -233,6 +239,70 @@ TEST_F(PipelineTest, OptimizationDoesNotReduceScpr) {
   // MCTS keeps the best state seen, which includes the initial one.
   EXPECT_GE(scpr_opt + 1e-9, 0.0);
   EXPECT_GE(scpr_opt, scpr_val - 0.35);  // never catastrophically worse
+}
+
+TEST_F(PipelineTest, GenerateMatchesPhaseComposition) {
+  // The production model, fitted as the daemon fits it. generate() draws
+  // Phase 1 through DiffusionModel::sample_batch; the reference composes
+  // the pipeline from public parts with Phase 1 on the tensor reference
+  // path, DiffusionModel::sample.
+  const BackendConfig production = server::default_backend_config();
+  SynCircuitConfig cfg = production.syncircuit;
+  cfg.seed = production.seed;
+  SynCircuitGenerator gen(cfg);
+  gen.fit(rtl::corpus_graphs({.seed = 1}));
+  const mcts::Reward reward = mcts::hybrid_reward_model(gen.discriminator());
+
+  util::Rng attr_rng(12);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const NodeAttrs attrs =
+        gen.attr_sampler().sample(server::default_attr_nodes(i), attr_rng);
+    const std::uint64_t seed = 40 + i;
+    util::Rng rng(seed);
+    const Graph generated = gen.generate(attrs, rng);
+
+    util::Rng ref_rng(seed);
+    const auto sample = gen.diffusion_model().sample(attrs, ref_rng);
+    const Graph gval = repair_to_valid(attrs, sample.adjacency,
+                                       sample.edge_prob, ref_rng);
+    const Graph expected =
+        mcts::optimize_registers(gval, cfg.mcts, reward, ref_rng);
+
+    EXPECT_EQ(generated, expected) << "design " << i;
+    EXPECT_EQ(generated.name(), "syncircuit");
+    // Both consumed the same draws, so the streams continue in step.
+    EXPECT_EQ(rng.next(), ref_rng.next()) << "design " << i;
+  }
+}
+
+TEST_F(PipelineTest, RunPhasesMatchesGenerate) {
+  // run_phases is the one per-design body: generate() and the inherited
+  // generate_batch return its G_opt in every ablation setting, including
+  // the random "w/o diff" initialization.
+  for (const bool use_diffusion : {true, false}) {
+    for (const bool optimize : {true, false}) {
+      SynCircuitGenerator gen(fast_config(use_diffusion, optimize));
+      gen.fit(small_corpus());
+      util::Rng attr_rng(6);
+      const NodeAttrs attrs = gen.attr_sampler().sample(26, attr_rng);
+      const std::uint64_t seed = 77;
+
+      util::Rng phases_rng(seed);
+      const auto phases = gen.run_phases(attrs, phases_rng);
+      util::Rng generate_rng(seed);
+      const Graph generated = gen.generate(attrs, generate_rng);
+      const std::vector<Graph> batch = gen.generate_batch(
+          std::vector<NodeAttrs>{attrs}, std::vector<std::uint64_t>{seed});
+
+      EXPECT_TRUE(graph::is_valid(phases.gopt)) << gen.name();
+      EXPECT_EQ(phases.gopt, generated) << gen.name();
+      ASSERT_EQ(batch.size(), 1u);
+      EXPECT_EQ(batch[0], generated) << gen.name();
+      if (!optimize) {
+        EXPECT_EQ(phases.gopt, phases.gval) << gen.name();
+      }
+    }
+  }
 }
 
 TEST_F(PipelineTest, GenerateBeforeFitThrows) {

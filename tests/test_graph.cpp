@@ -1,11 +1,14 @@
 // Unit tests for the DCG IR, constraint checking and graph algorithms.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/adjacency.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/dcg.hpp"
 #include "graph/validity.hpp"
 #include "rtl/builder.hpp"
+#include "rtl/generators.hpp"
 
 namespace syn::graph {
 namespace {
@@ -109,6 +112,47 @@ TEST(CombLoop, EdgeIntoRegisterNeverCombLoop) {
   const NodeId n = g.add_node(NodeType::kNot, 1);
   g.set_fanin(n, 0, r);
   EXPECT_FALSE(edge_creates_comb_loop(g, n, r));
+}
+
+TEST(CombLoop, PathQueriesMatchFreshSearchAcrossGraphSizes) {
+  // comb_path_exists reuses per-thread scratch between calls. Queries that
+  // alternate between graphs of different sizes must still answer what a
+  // search with fresh storage answers.
+  const auto fresh_search = [](const Graph& g, NodeId src, NodeId dst) {
+    if (is_sequential(g.type(src)) || is_sequential(g.type(dst))) {
+      return false;
+    }
+    std::vector<bool> seen(g.num_nodes(), false);
+    std::vector<NodeId> work{src};
+    seen[src] = true;
+    while (!work.empty()) {
+      const NodeId n = work.back();
+      work.pop_back();
+      if (n == dst) return true;
+      for (NodeId next : g.fanouts(n)) {
+        if (seen[next] || is_sequential(g.type(next))) continue;
+        seen[next] = true;
+        work.push_back(next);
+      }
+    }
+    return false;
+  };
+  const std::vector<Graph> graphs{rtl::make_alu(8), rtl::make_counter(4),
+                                  rtl::make_fsm(3, 2), rtl::make_counter(2)};
+  std::size_t reachable = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const Graph& g : graphs) {
+      for (NodeId src = 0; src < g.num_nodes(); ++src) {
+        for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+          const bool expected = fresh_search(g, src, dst);
+          ASSERT_EQ(comb_path_exists(g, src, dst), expected)
+              << g.name() << " " << src << " -> " << dst;
+          reachable += expected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(reachable, 0u);
 }
 
 TEST(Scc, RegisterLoopFormsOneComponent) {
