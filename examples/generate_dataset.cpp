@@ -31,7 +31,6 @@
 #include <string>
 
 #include "core/registry.hpp"
-#include "rtl/generators.hpp"
 #include "server/client.hpp"
 #include "server/daemon.hpp"
 #include "server/protocol.hpp"
@@ -153,26 +152,24 @@ int main(int argc, char** argv) {
                                    .fresh = opt.fresh,
                                    .with_synth_stats = true,
                                    .log = &std::cout});
-    // The tuning is shared with syn_daemon's default backend factory
-    // (server::make_default_backend) — one definition keeps daemon jobs
-    // byte-identical to local runs.
-    const auto generator = core::make_generator(
-        opt.backend, server::default_backend_config());
-    service::GenerationService svc(
-        *generator,
-        {.batch = {.batch = opt.batch, .threads = opt.threads},
-         .queue_capacity = opt.queue});
+    const service::GenerationServiceConfig service_options{
+        .batch = {.batch = opt.batch, .threads = opt.threads},
+        .queue_capacity = opt.queue};
 
-    // Completed datasets exit here, before the (minutes-long) fit; the
-    // service still re-finalizes an exactly-complete checkpoint, so a
-    // crash that lost manifest.json is repaired by a cheap rerun.
+    // Completed datasets exit here, before the fit; the service still
+    // re-finalizes an exactly-complete checkpoint, so a crash that lost
+    // manifest.json is repaired by a cheap rerun. The summary needs only
+    // the generator's name, so the model stays unfitted.
     if (sink.resume_index() >= opt.count) {
-      svc.run({.count = opt.count,
-               .seed = opt.seed,
-               .attrs = [](std::size_t, util::Rng&) {
-                 return graph::NodeAttrs{};  // never invoked: 0 to produce
-               }},
-              sink);
+      const auto generator = core::make_generator(
+          opt.backend, server::default_backend_config());
+      service::GenerationService(*generator, service_options)
+          .run({.count = opt.count,
+                .seed = opt.seed,
+                .attrs = [](std::size_t, util::Rng&) {
+                  return graph::NodeAttrs{};  // never invoked: 0 to produce
+                }},
+               sink);
       std::cout << "checkpoint says all " << opt.count
                 << " designs are done — nothing to do (use --fresh to "
                    "regenerate)\n";
@@ -183,21 +180,14 @@ int main(int argc, char** argv) {
                 << opt.count << "\n";
     }
 
-    std::cout << "building the 22-design training corpus...\n";
-    const auto corpus = rtl::corpus_graphs({.seed = 1});
-    std::cout << "fitting " << generator->name() << "...\n";
-    generator->fit(corpus);
-
-    core::AttrSampler sampler;
-    sampler.fit(corpus);
-    const auto stats = svc.run(
-        {.count = opt.count,
-         .seed = opt.seed,
-         .attrs =
-             [&](std::size_t i, util::Rng& rng) {
-               return sampler.sample(server::default_attr_nodes(i), rng);
-             }},
-        sink);
+    // The daemon's factory: the same model, fit and attrs, so daemon jobs
+    // are byte-identical to local runs.
+    const server::FittedBackend backend =
+        server::make_default_backend(opt.backend, &std::cout);
+    const auto stats =
+        service::GenerationService(*backend.model, service_options)
+            .run({.count = opt.count, .seed = opt.seed, .attrs = backend.attrs},
+                 sink);
 
     const auto cache = synth::synthesis_cache_stats();
     std::cout << "done — " << stats.produced << " designs this run, "

@@ -4,8 +4,6 @@
 //   syncircuit_cli gen   [count] [nodes] [seed]   generate Verilog designs
 //       [--backend=NAME]   generator backend (syncircuit, graphrnn, dvae,
 //                          graphmaker, sparsedigress — via core registry)
-//       [--threads=N]      MCTS executor width (output is N-invariant)
-//       [--trees=N]        root-parallel trees per cone (affects output)
 //   syncircuit_cli stats <file.v>                 structural statistics
 //   syncircuit_cli synth <file.v>                 synthesis + timing report
 //   syncircuit_cli dot   <file.v>                 Graphviz DOT to stdout
@@ -15,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,15 +41,9 @@ graph::Graph load_verilog(const std::string& path) {
   return rtl::from_verilog(buffer.str());
 }
 
-struct GenOptions {
-  std::string backend = "syncircuit";  // any name the core registry knows
-  int threads = 1;       // executor width only — never changes the output
-  int trees = 8;         // root-parallel trees (fixed: output is stable
-                         // whatever --threads is)
-};
-
+/// `backend` is any name the core registry knows.
 int cmd_gen(int count, std::size_t nodes, std::uint64_t seed,
-            const GenOptions& opts) {
+            const std::string& backend) {
   core::BackendConfig config;
   config.seed = seed;
   config.syncircuit.diffusion.steps = 6;
@@ -59,9 +52,7 @@ int cmd_gen(int count, std::size_t nodes, std::uint64_t seed,
   config.syncircuit.diffusion.epochs = 10;
   config.syncircuit.mcts = {.simulations = 60, .max_depth = 10,
                             .actions_per_state = 10, .max_registers = 8};
-  config.syncircuit.mcts.root_trees = opts.trees;
-  config.syncircuit.mcts.threads = opts.threads;
-  const auto gen = core::make_generator(opts.backend, config);
+  const auto gen = core::make_generator(backend, config);
   std::cout << "training " << gen->name()
             << " on the built-in corpus...\n";
   const auto corpus = rtl::corpus_graphs({.seed = 1});
@@ -139,16 +130,14 @@ int main(int argc, char** argv) {
   const std::string cmd = argc > 1 ? argv[1] : "corpus";
   try {
     if (cmd == "gen") {
-      GenOptions opts;
+      std::string backend = "syncircuit";
       std::vector<std::string> positional;
       for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--backend=", 0) == 0) {
-          opts.backend = arg.substr(10);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-          opts.threads = std::atoi(arg.c_str() + 10);
-        } else if (arg.rfind("--trees=", 0) == 0) {
-          opts.trees = std::atoi(arg.c_str() + 8);
+          backend = arg.substr(10);
+        } else if (arg.rfind("--", 0) == 0) {
+          throw std::invalid_argument("unknown option " + arg);
         } else {
           positional.push_back(arg);
         }
@@ -163,7 +152,7 @@ int main(int argc, char** argv) {
           positional.size() > 2
               ? static_cast<std::uint64_t>(std::atoll(positional[2].c_str()))
               : 1;
-      return cmd_gen(count, nodes, seed, opts);
+      return cmd_gen(count, nodes, seed, backend);
     }
     if (cmd == "stats" && argc > 2) return cmd_stats(argv[2]);
     if (cmd == "synth" && argc > 2) return cmd_synth(argv[2]);
@@ -174,7 +163,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cerr << "usage: syncircuit_cli gen [count] [nodes] [seed]"
-               " [--backend=NAME] [--threads=N] [--trees=N]\n"
+               " [--backend=NAME]\n"
                "       syncircuit_cli stats|synth|dot <file.v>\n"
                "       syncircuit_cli corpus\n"
                "backends:";

@@ -21,6 +21,17 @@ using graph::NodeAttrs;
 using nn::Matrix;
 using nn::Tensor;
 
+namespace {
+
+/// Pairs scored per scorer forward in generate(). At the default hidden
+/// width (32) one block's pair rows and scorer activations (≈ 3*hidden + 1
+/// floats per pair) take ~400 KB, well inside L2. Scorer rows are
+/// independent and pairs are sampled in (i, j) order, so the block size
+/// never changes an output.
+constexpr std::size_t kPairBlock = 1024;
+
+}  // namespace
+
 GraphMaker::GraphMaker(GraphMakerConfig config)
     : config_(config),
       rng_(config.seed),
@@ -109,12 +120,13 @@ Graph GraphMaker::generate(const NodeAttrs& attrs, util::Rng& rng) {
   const Matrix features = Denoiser::node_features(attrs);
 
   // Fused inference path. Embeddings for all n nodes in one packed
-  // forward; then the O(n^2) pair sweep runs in L2-sized blocks whose
-  // scratch is rewound per block (the embedding table stays live below
-  // the mark). Pair rows [ea ⊙ eb | ea + eb] are written directly —
-  // bitwise identical to gather_rows + mul/add/concat_cols feeding the
-  // scorer, whose matmuls are row-independent. Pairs are scored and
-  // sampled strictly in (i, j) order, so the rng stream is unchanged.
+  // forward; then the O(n^2) pair sweep runs in blocks of kPairBlock
+  // pairs whose scratch is rewound per block (the embedding table stays
+  // live below the mark). Pair rows [ea ⊙ eb | ea + eb] are written
+  // directly — bitwise identical to gather_rows + mul/add/concat_cols
+  // feeding the scorer, whose matmuls are row-independent. Pairs are
+  // scored and sampled strictly in (i, j) order, so the rng stream is
+  // unchanged.
   const std::size_t hidden = config_.hidden;
   nn::InferenceArena arena;  // per-call: generate_batch shards concurrently
   const float* emb =
@@ -126,17 +138,11 @@ Graph GraphMaker::generate(const NodeAttrs& attrs, util::Rng& rng) {
     for (std::uint32_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   }
 
-  // Block size: keep one block's rows + scorer activations within a
-  // quarter of L2 (≈ 3*hidden + 1 floats per pair through the scorer).
-  const std::size_t row_bytes = (3 * hidden + 1) * sizeof(float);
-  const std::size_t block = std::max<std::size_t>(
-      64, nn::CacheGeometry::host().l2_bytes / (4 * row_bytes));
-
   AdjacencyMatrix undirected(n);
   Matrix uprob(n, n);
   const nn::InferenceArena::Mark mark = arena.mark();
-  for (std::size_t k0 = 0; k0 < pairs.size(); k0 += block) {
-    const std::size_t k1 = std::min(k0 + block, pairs.size());
+  for (std::size_t k0 = 0; k0 < pairs.size(); k0 += kPairBlock) {
+    const std::size_t k1 = std::min(k0 + kPairBlock, pairs.size());
     arena.rewind(mark);
     float* rows = arena.alloc((k1 - k0) * 2 * hidden);
     for (std::size_t k = k0; k < k1; ++k) {

@@ -164,8 +164,8 @@ void PcsDiscriminator::fit(const std::vector<Graph>& samples, int epochs) {
     opt.step();
   }
   // Pack the trained weights once for the fused score_batch path; the
-  // packed copy is read-only afterwards, so concurrent scoring (batched
-  // MCTS shards across the ThreadPool) needs no synchronization.
+  // packed copy is read-only afterwards, so concurrent scoring (dataset
+  // jobs generate designs on a thread pool) needs no synchronization.
   packed_ = nn::PackedMlp(net_);
   fitted_ = true;
 }

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -123,43 +122,41 @@ void seed_actions(TreeNode& node, const Graph& state,
   }
 }
 
-struct TreeResult {
-  Graph best_state;
-  double best_reward = 0.0;
-};
-
-/// One independent UCB1 tree over the cone. Owns nothing shared: its Rng,
-/// TreeNodes and working graph are task-local, and `reward` is only
-/// called, never mutated — which is what makes root parallelism race-free.
+/// Searches the driving cone of `reg` with one UCB1 tree and returns the
+/// best state found (`start` itself when nothing beats it).
 ///
 /// The tree keeps one working graph. Each simulation walks it from the
 /// start state down the selected path by re-applying the stored swaps,
 /// expands and rolls out with `apply_swap` on it, scores every new state
 /// in place, then undoes its swaps newest first. Only a new best state is
 /// copied out.
-TreeResult run_tree(const Graph& start, double root_reward,
-                    const std::vector<NodeId>& cone_pool,
-                    const std::vector<NodeId>& global_pool,
-                    const MctsConfig& config, int simulations,
+Graph optimize_cone(const Graph& start, NodeId reg, const MctsConfig& config,
                     const Reward& reward, util::Rng& rng) {
+  const std::vector<NodeId> cone = graph::driving_cone(start, reg);
+  const std::vector<NodeId> cone_pool = swap_candidates(start, cone);
+  std::vector<NodeId> all_nodes(start.num_nodes());
+  for (NodeId i = 0; i < start.num_nodes(); ++i) all_nodes[i] = i;
+  const std::vector<NodeId> global_pool = swap_candidates(start, all_nodes);
+
   Graph g = start;
   TreeNode root;
-  root.reward = root_reward;
+  root.reward = reward(start);
   seed_actions(root, g, cone_pool, global_pool, config, rng);
 
-  TreeResult out{start, root_reward};
+  Graph best_state = start;
+  double best_reward = root.reward;
   // Scores the working graph's state; a new best is copied out.
   const auto score = [&] {
     const double r = reward.score(g);
-    if (r > out.best_reward) {
-      out.best_reward = r;
-      out.best_state = g;
+    if (r > best_reward) {
+      best_reward = r;
+      best_state = g;
     }
     return r;
   };
   std::vector<SwapAction> applied;  // swaps on `g` this simulation, in order
 
-  for (int sim = 0; sim < simulations; ++sim) {
+  for (int sim = 0; sim < config.simulations; ++sim) {
     // --- selection ---
     std::vector<TreeNode*> path{&root};
     TreeNode* node = &root;
@@ -226,64 +223,10 @@ TreeResult run_tree(const Graph& start, double root_reward,
       p->q_sum += reward_max;
     }
   }
-  return out;
+  return best_state;
 }
 
 }  // namespace
-
-std::pair<Graph, double> optimize_cone(const Graph& start, NodeId reg,
-                                       const MctsConfig& config,
-                                       const Reward& reward, util::Rng& rng,
-                                       util::ThreadPool* pool) {
-  const std::vector<NodeId> cone = graph::driving_cone(start, reg);
-  const std::vector<NodeId> cone_pool = swap_candidates(start, cone);
-  std::vector<NodeId> all_nodes(start.num_nodes());
-  for (NodeId i = 0; i < start.num_nodes(); ++i) all_nodes[i] = i;
-  const std::vector<NodeId> global_pool = swap_candidates(start, all_nodes);
-  const double root_reward = reward(start);
-
-  const int trees = std::max(1, config.root_trees);
-  if (trees == 1) {
-    // Paper-faithful single tree on the caller's RNG stream (the pre-PR-2
-    // code path, bit-for-bit).
-    TreeResult r = run_tree(start, root_reward, cone_pool, global_pool,
-                            config, config.simulations, reward, rng);
-    return {std::move(r.best_state), r.best_reward};
-  }
-
-  // Root parallelism. One draw advances the caller's stream (decorrelating
-  // successive cones); every tree seed splits off it by index, so the
-  // trajectory of tree t depends only on (seed, t) — never on which worker
-  // runs it or how many workers exist.
-  const std::vector<std::uint64_t> seeds =
-      util::split_streams(rng.next(), static_cast<std::size_t>(trees));
-  const int base_sims = config.simulations / trees;
-  const int extra = config.simulations % trees;
-  std::vector<TreeResult> results(static_cast<std::size_t>(trees));
-  const auto run_one = [&](std::size_t t) {
-    util::Rng tree_rng(seeds[t]);
-    const int sims = base_sims + (static_cast<int>(t) < extra ? 1 : 0);
-    results[t] = run_tree(start, root_reward, cone_pool, global_pool, config,
-                          sims, reward, tree_rng);
-  };
-  std::optional<util::ThreadPool> local;
-  if (pool == nullptr && config.threads > 1) {
-    local.emplace(static_cast<std::size_t>(config.threads));
-    pool = &*local;
-  }
-  if (pool != nullptr) {
-    pool->parallel_for(results.size(), run_one);
-  } else {
-    for (std::size_t t = 0; t < results.size(); ++t) run_one(t);
-  }
-  // Merge by max reward; strict '>' keeps the lowest tree index on ties,
-  // so the winner is independent of completion order.
-  std::size_t best = 0;
-  for (std::size_t t = 1; t < results.size(); ++t) {
-    if (results[t].best_reward > results[best].best_reward) best = t;
-  }
-  return {std::move(results[best].best_state), results[best].best_reward};
-}
 
 Graph optimize_registers(const Graph& gval, const MctsConfig& config,
                          const Reward& reward, util::Rng& rng) {
@@ -299,17 +242,10 @@ Graph optimize_registers(const Graph& gval, const MctsConfig& config,
       regs.size() > static_cast<std::size_t>(config.max_registers)) {
     regs.resize(static_cast<std::size_t>(config.max_registers));
   }
-  // One pool for the whole run; each cone's trees are its tasks.
-  std::optional<util::ThreadPool> pool;
-  if (config.threads > 1 && config.root_trees > 1) {
-    pool.emplace(static_cast<std::size_t>(config.threads));
-  }
   Graph current = gval;
   for (int pass = 0; pass < std::max(1, config.passes); ++pass) {
     for (const auto& [cone_size, reg] : regs) {
-      auto [next, r] = optimize_cone(current, reg, config, reward, rng,
-                                     pool ? &*pool : nullptr);
-      current = std::move(next);
+      current = optimize_cone(current, reg, config, reward, rng);
     }
   }
   return current;

@@ -18,13 +18,10 @@
 // per pre-synthesis node — supplied as a callback so the exact synthesis
 // oracle and the learned discriminator are interchangeable.
 //
-// Parallelism (root parallelism): when `root_trees > 1` the simulation
-// budget is split across that many independent trees over the same cone,
-// each with its own RNG stream derived from the caller's generator, and
-// the results merge by max reward with a stable lowest-tree-index
-// tie-break. The decomposition depends only on the config and seed — never
-// on `threads`, which sets only the executor width — so the output is
-// bit-identical for a fixed seed at any thread count.
+// Each register cone gets one tree (paper §VI), driven by the caller's RNG
+// stream; cones are searched one after another, each from the best state
+// found so far. Concurrency lives a level up: dataset jobs generate
+// independent designs on a thread pool (core::GeneratorModel).
 #pragma once
 
 #include <functional>
@@ -35,12 +32,11 @@
 
 #include "graph/dcg.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace syn::mcts {
 
 struct MctsConfig {
-  int simulations = 500;  // paper: 500 per register cone (total, all trees)
+  int simulations = 500;  // paper: 500 per register cone
   int max_depth = 10;     // paper: 10
   double exploration = 1.4142135623730951;  // sqrt(2), UCB1
   int actions_per_state = 12;  // candidate swaps sampled per tree node
@@ -50,13 +46,6 @@ struct MctsConfig {
   /// Rounds over the register list; each cone search starts from the best
   /// state found so far, so improvements accumulate beyond one tree depth.
   int passes = 2;
-  /// Independent root-parallel trees per cone; the simulation budget is
-  /// split across them. 1 = the paper's single-tree search. The tree count
-  /// (not the thread count) determines the search trajectory, so results
-  /// for a fixed (seed, root_trees) are identical at any `threads`.
-  int root_trees = 1;
-  /// Executor width for root-parallel trees (<= 1 runs them inline).
-  int threads = 1;
 };
 
 /// Swap the parents currently driving (child_a, slot_a) and
@@ -110,20 +99,8 @@ class Reward {
   BatchRewardFn batch_;
 };
 
-/// Runs MCTS restricted to the driving cone of one register. Returns the
-/// best graph found and its reward. With `config.root_trees > 1` the
-/// budget is root-parallelized; trees run on `pool` when given, else on a
-/// pool created locally when `config.threads > 1`, else inline.
-std::pair<graph::Graph, double> optimize_cone(const graph::Graph& start,
-                                              graph::NodeId reg,
-                                              const MctsConfig& config,
-                                              const Reward& reward,
-                                              util::Rng& rng,
-                                              util::ThreadPool* pool = nullptr);
-
-/// Full Phase 3: optimizes register cones one by one (paper §VI-A),
-/// feeding each cone's best result into the next. Creates one thread pool
-/// for the whole run when `config.threads > 1`.
+/// Full Phase 3: one UCB1 tree per register cone, cones optimized one by
+/// one (paper §VI-A), each starting from the best state found so far.
 graph::Graph optimize_registers(const graph::Graph& gval,
                                 const MctsConfig& config,
                                 const Reward& reward, util::Rng& rng);

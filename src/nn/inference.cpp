@@ -5,121 +5,8 @@
 #include <cmath>
 #include <cstddef>
 #include <new>
-#include <string>
-
-#if defined(__linux__)
-#include <unistd.h>
-
-#include <fstream>
-#endif
 
 namespace syn::nn {
-
-// --- cache geometry ----------------------------------------------------------
-
-namespace {
-
-#if defined(__linux__)
-std::size_t sysconf_bytes(int name) {
-  const long v = ::sysconf(name);
-  return v > 0 ? static_cast<std::size_t>(v) : 0;
-}
-
-std::string read_sysfs_line(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  if (in && std::getline(in, line)) return line;
-  return {};
-}
-
-/// Parses "48K" / "2048K" / "2M" / "1234" (sysfs cache `size` format).
-std::size_t parse_cache_size(const std::string& text) {
-  if (text.empty()) return 0;
-  std::size_t value = 0;
-  std::size_t i = 0;
-  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-    value = value * 10 + static_cast<std::size_t>(text[i] - '0');
-    ++i;
-  }
-  if (i < text.size()) {
-    if (text[i] == 'K' || text[i] == 'k') value *= 1024;
-    if (text[i] == 'M' || text[i] == 'm') value *= 1024 * 1024;
-  }
-  return value;
-}
-
-/// First data-or-unified cache of `level` under cpu0; 0 when absent.
-std::size_t sysfs_cache_bytes(int level) {
-  for (int index = 0; index < 16; ++index) {
-    const std::string base = "/sys/devices/system/cpu/cpu0/cache/index" +
-                             std::to_string(index) + "/";
-    const std::string lvl = read_sysfs_line(base + "level");
-    if (lvl.empty()) break;  // indexes are contiguous
-    if (lvl != std::to_string(level)) continue;
-    const std::string type = read_sysfs_line(base + "type");
-    if (type != "Data" && type != "Unified") continue;
-    return parse_cache_size(read_sysfs_line(base + "size"));
-  }
-  return 0;
-}
-#endif  // __linux__
-
-}  // namespace
-
-CacheGeometry CacheGeometry::detect() {
-  CacheGeometry geo;  // initialized to the conservative fallbacks
-#if defined(__linux__)
-  std::size_t l1 = sysconf_bytes(_SC_LEVEL1_DCACHE_SIZE);
-  if (l1 == 0) l1 = sysfs_cache_bytes(1);
-  if (l1 != 0) geo.l1d_bytes = l1;
-
-  std::size_t l2 = sysconf_bytes(_SC_LEVEL2_CACHE_SIZE);
-  if (l2 == 0) l2 = sysfs_cache_bytes(2);
-  if (l2 != 0) geo.l2_bytes = l2;
-
-  std::size_t line = sysconf_bytes(_SC_LEVEL1_DCACHE_LINESIZE);
-  if (line == 0) {
-    line = parse_cache_size(read_sysfs_line(
-        "/sys/devices/system/cpu/cpu0/cache/index0/coherency_line_size"));
-  }
-  if (line != 0) geo.line_bytes = line;
-#endif
-  return geo;
-}
-
-const CacheGeometry& CacheGeometry::host() {
-  static const CacheGeometry geo = detect();
-  return geo;
-}
-
-// --- tiled matmul ------------------------------------------------------------
-
-MatmulPlan plan_matmul(std::size_t k_dim, std::size_t n,
-                       const CacheGeometry& geo) {
-  MatmulPlan plan{k_dim, n};
-  if (k_dim == 0 || n == 0) return plan;
-  // Weight-slab budget: half of L1d keeps the slab resident while the
-  // activation row and output strip occupy the other half. For layers too
-  // wide even for an L2-sized slab the j clamp below bounds the strip.
-  const std::size_t budget = std::max<std::size_t>(geo.l1d_bytes / 2, 4096);
-  if (k_dim * n * sizeof(float) <= budget) return plan;  // whole matrix
-  const std::size_t line_floats =
-      std::max<std::size_t>(geo.line_bytes / sizeof(float), 4);
-  plan.k_tile = std::min<std::size_t>(k_dim, 256);
-  std::size_t j = budget / (plan.k_tile * sizeof(float));
-  if (j < line_floats) j = line_floats;
-  if (j >= n) {
-    j = n;
-  } else {
-    j -= j % line_floats;  // full cache lines per slab column block
-  }
-  plan.j_tile = j;
-  return plan;
-}
-
-// matmul_rows itself lives in nn/simd.hpp's dispatch table now (one body
-// per SIMD tier, see simd_body.hpp); the inline wrapper in the header
-// forwards to simd_kernels().matmul_rows.
 
 // --- arena -------------------------------------------------------------------
 
@@ -181,12 +68,11 @@ void InferenceArena::shrink(std::size_t keep) {
 
 // --- packed layers -----------------------------------------------------------
 
-PackedLinear::PackedLinear(const Linear& src, const CacheGeometry& geo)
+PackedLinear::PackedLinear(const Linear& src)
     : in_(src.weight_value().rows()),
       out_(src.weight_value().cols()),
       w_(new float[in_ * out_]),
-      b_(new float[out_]),
-      plan_(plan_matmul(in_, out_, geo)) {
+      b_(new float[out_]) {
   std::copy(src.weight_value().data().begin(), src.weight_value().data().end(),
             w_.get());
   std::copy(src.bias_value().data().begin(), src.bias_value().data().end(),
@@ -198,7 +84,7 @@ float* PackedLinear::forward_rows(InferenceArena& arena, const float* x,
   assert(packed());
   const SimdKernels& simd = simd_kernels();
   float* y = arena.alloc(rows * out_);
-  simd.matmul_rows(x, rows, in_, w_.get(), out_, y, plan_);
+  simd.matmul_rows(x, rows, in_, w_.get(), out_, y);
   simd.bias_rows(y, b_.get(), rows, out_);
   return y;
 }
@@ -207,14 +93,13 @@ float* PackedLinear::forward_rows_nobias(InferenceArena& arena, const float* x,
                                          std::size_t rows) const {
   assert(packed());
   float* y = arena.alloc(rows * out_);
-  simd_kernels().matmul_rows(x, rows, in_, w_.get(), out_, y, plan_);
+  simd_kernels().matmul_rows(x, rows, in_, w_.get(), out_, y);
   return y;
 }
 
-PackedMlp::PackedMlp(const Mlp& src, const CacheGeometry& geo)
-    : hidden_(src.hidden_activation()) {
+PackedMlp::PackedMlp(const Mlp& src) : hidden_(src.hidden_activation()) {
   layers_.reserve(src.layers().size());
-  for (const Linear& layer : src.layers()) layers_.emplace_back(layer, geo);
+  for (const Linear& layer : src.layers()) layers_.emplace_back(layer);
 }
 
 namespace {
@@ -263,7 +148,7 @@ float* PackedMlp::forward_rows(InferenceArena& arena, const float* x,
   return y;
 }
 
-PackedGru::PackedGru(const GruCell& src, const CacheGeometry& geo)
+PackedGru::PackedGru(const GruCell& src)
     : in_(src.xz().weight_value().rows()),
       hidden_(src.xz().weight_value().cols()),
       wx3_(new float[in_ * 3 * hidden_]),
@@ -271,10 +156,7 @@ PackedGru::PackedGru(const GruCell& src, const CacheGeometry& geo)
       wh2_(new float[hidden_ * 2 * hidden_]),
       bh2_(new float[2 * hidden_]),
       whn_(new float[hidden_ * hidden_]),
-      bhn_(new float[hidden_]),
-      plan_x3_(plan_matmul(in_, 3 * hidden_, geo)),
-      plan_h2_(plan_matmul(hidden_, 2 * hidden_, geo)),
-      plan_hn_(plan_matmul(hidden_, hidden_, geo)) {
+      bhn_(new float[hidden_]) {
   const std::size_t h = hidden_;
   const auto pack_cols = [](float* dst, std::size_t dst_cols,
                             std::size_t col0, const Matrix& src_m) {
@@ -306,9 +188,9 @@ float* PackedGru::forward_rows(InferenceArena& arena, const float* x,
   // One SoA matmul per operand feeds every gate it can: x -> [z|r|n],
   // h -> [z|r]. Whn waits for r (the tensor path computes hn(r ⊙ h)).
   float* gx = arena.alloc(rows * 3 * hd);
-  simd.matmul_rows(x, rows, in_, wx3_.get(), 3 * hd, gx, plan_x3_);
+  simd.matmul_rows(x, rows, in_, wx3_.get(), 3 * hd, gx);
   float* gh = arena.alloc(rows * 2 * hd);
-  simd.matmul_rows(h, rows, hd, wh2_.get(), 2 * hd, gh, plan_h2_);
+  simd.matmul_rows(h, rows, hd, wh2_.get(), 2 * hd, gh);
 
   // Pre-activations for both sigmoid gates in one strided epilogue call:
   // the packed [z|r] columns of gx (row stride 3H) and gh (row stride 2H)
@@ -340,7 +222,7 @@ float* PackedGru::forward_rows(InferenceArena& arena, const float* x,
   }
 
   float* ghn = arena.alloc(rows * hd);
-  simd.matmul_rows(rh, rows, hd, whn_.get(), hd, ghn, plan_hn_);
+  simd.matmul_rows(rh, rows, hd, whn_.get(), hd, ghn);
 
   // npre[row][j] = (gx_n + bx_n) + (ghn + bhn): the n-gate columns of gx
   // start at offset 2H inside each 3H-stride row.

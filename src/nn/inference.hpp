@@ -5,14 +5,10 @@
 // *lost* to the scalar loop until the per-op tensor temporaries — each one
 // a fresh (rows x cols) allocation streamed through and thrown away — were
 // replaced by fused kernels whose working set stays inside L2. This header
-// generalizes that into a reusable inference path for every model in the
-// repo (discriminator MLP, baseline GRU/MLP samplers, PPA heads):
+// generalizes that into a reusable inference path for the repo's neural
+// models (diffusion denoiser, discriminator MLP, baseline GRU/MLP
+// samplers):
 //
-//   * CacheGeometry — measured L1d/L2/line sizes (sysconf, then sysfs,
-//     then a conservative fallback), so tile sizes are chosen from the
-//     machine the code actually runs on, not a compile-time guess. The
-//     5GC²ache framing: LLC behaviour is a first-class, *measured*
-//     optimization target.
 //   * InferenceArena — a grow-only bump allocator of 64-byte-aligned
 //     float slabs. Activations for a whole forward (all layers, all
 //     steps of an autoregressive loop) live here; reset()/rewind() make
@@ -21,21 +17,20 @@
 //     layouts built once from the training modules via the existing
 //     Linear::weight_value() accessors. The GRU packs its three input
 //     gates (and the z/r hidden gates) into single column-concatenated
-//     matrices so one tiled matmul feeds all gates.
+//     matrices so one matmul feeds all gates.
 //   * mlp_forward_rows / gru_forward_rows — fused row kernels whose
-//     matmuls (register-blocked when the weights fit half of L1d, L2-aware
-//     k/j tiling otherwise) and bias+activation epilogues run on the
-//     runtime-dispatched SIMD tier (nn/simd.hpp: AVX-512F / AVX2 / SSE2 /
-//     scalar, selected per process by CPUID).
+//     matmuls (register-blocked on the vector tiers) and bias+activation
+//     epilogues run on the runtime-dispatched SIMD tier (nn/simd.hpp:
+//     AVX-512F / AVX2 / SSE2 / scalar, selected per process by CPUID).
 //
 // Bitwise contract: every kernel reproduces the tensor ops' arithmetic
 // exactly — nn::matmul's (i, k ascending with the zero-skip, j) loop
 // order, the same bias/activation expressions on float, the same
-// combination order for GRU gates. Tiling only re-orders work *across*
-// output elements, never the per-element accumulation sequence, so fused
-// results are bit-identical to Mlp::forward / GruCell::forward at every
-// batch size. The tensor path remains the training/autograd route; this
-// is the inference route.
+// combination order for GRU gates. Register blocking only re-orders work
+// *across* output elements, never the per-element accumulation sequence,
+// so fused results are bit-identical to Mlp::forward / GruCell::forward
+// at every batch size. The tensor path remains the training/autograd
+// route; this is the inference route.
 #pragma once
 
 #include <cstddef>
@@ -49,39 +44,15 @@
 
 namespace syn::nn {
 
-/// Measured cache sizes of the host, with conservative fallbacks when the
-/// probe has nothing to say (non-Linux, sandboxed sysfs).
-struct CacheGeometry {
-  std::size_t l1d_bytes = 32 * 1024;
-  std::size_t l2_bytes = 1024 * 1024;
-  std::size_t line_bytes = 64;
-
-  /// Probes sysconf(_SC_LEVEL*_CACHE_SIZE), then
-  /// /sys/devices/system/cpu/cpu0/cache, then falls back to the defaults
-  /// above. Never throws.
-  static CacheGeometry detect();
-  /// detect() once, cached for the process.
-  static const CacheGeometry& host();
-};
-
-/// Picks tiles for C = A (rows x k_dim) * B (k_dim x n): the whole of B
-/// when it fits in half of L1d (activations and the output strip keep the
-/// other half), otherwise a k_tile x j_tile slab sized to that budget
-/// (L2-bounded for very wide layers). Pure function of shape + geometry.
-MatmulPlan plan_matmul(std::size_t k_dim, std::size_t n,
-                       const CacheGeometry& geo);
-
-/// C = A * B, tiled per `plan`, with nn::matmul's exact per-element
-/// accumulation order (from +0, k ascending, zero-skip on A entries) —
-/// bitwise equal to the tensor op at any tile size, because k-tiles are
-/// visited in ascending order and neither j-tiling nor register blocking
-/// touches the accumulation sequence of a single C element. Every C
-/// element is written, none is read; the kernel runs on the dispatched
-/// SIMD tier (nn/simd.hpp). A, B and C must not overlap.
+/// C = A * B with nn::matmul's exact per-element accumulation order (from
+/// +0, k ascending, zero-skip on A entries) — bitwise equal to the tensor
+/// op, because register blocking never touches the accumulation sequence
+/// of a single C element. Every C element is written, none is read; the
+/// kernel runs on the dispatched SIMD tier (nn/simd.hpp). A, B and C must
+/// not overlap.
 inline void matmul_rows(const float* a, std::size_t rows, std::size_t k_dim,
-                        const float* b, std::size_t n, float* c,
-                        const MatmulPlan& plan) {
-  simd_kernels().matmul_rows(a, rows, k_dim, b, n, c, plan);
+                        const float* b, std::size_t n, float* c) {
+  simd_kernels().matmul_rows(a, rows, k_dim, b, n, c);
 }
 
 /// Grow-only bump allocator of 64-byte-aligned float buffers. All
@@ -142,13 +113,11 @@ class InferenceArena {
   std::size_t offset_ = 0;  // floats used in current slab
 };
 
-/// One affine layer, weights copied once into a 64-byte-aligned buffer
-/// with a tile plan precomputed for its shape.
+/// One affine layer, weights and bias copied once out of the Linear.
 class PackedLinear {
  public:
   PackedLinear() = default;
-  explicit PackedLinear(const Linear& src,
-                        const CacheGeometry& geo = CacheGeometry::host());
+  explicit PackedLinear(const Linear& src);
 
   [[nodiscard]] std::size_t in_dim() const { return in_; }
   [[nodiscard]] std::size_t out_dim() const { return out_; }
@@ -170,7 +139,6 @@ class PackedLinear {
   std::size_t in_ = 0, out_ = 0;
   std::unique_ptr<float[]> w_;  // in x out, row-major (same as Matrix)
   std::unique_ptr<float[]> b_;  // out
-  MatmulPlan plan_;
 };
 
 /// MLP packed for fused inference: per-layer PackedLinear + the hidden
@@ -178,8 +146,7 @@ class PackedLinear {
 class PackedMlp {
  public:
   PackedMlp() = default;
-  explicit PackedMlp(const Mlp& src,
-                     const CacheGeometry& geo = CacheGeometry::host());
+  explicit PackedMlp(const Mlp& src);
 
   [[nodiscard]] bool packed() const { return !layers_.empty(); }
   [[nodiscard]] std::size_t in_dim() const { return layers_.front().in_dim(); }
@@ -199,8 +166,8 @@ class PackedMlp {
 };
 
 /// GRU cell packed structure-of-arrays: the three input-gate weight
-/// matrices live column-concatenated as [Wxz | Wxr | Wxn] (one tiled
-/// matmul per step feeds every gate), the hidden z/r gates as
+/// matrices live column-concatenated as [Wxz | Wxr | Wxn] (one matmul
+/// per step feeds every gate), the hidden z/r gates as
 /// [Whz | Whr]; Whn stays separate because the tensor path multiplies r
 /// into h *before* that matmul. Column concatenation never changes a
 /// single output element's accumulation order, so gates are bitwise equal
@@ -208,8 +175,7 @@ class PackedMlp {
 class PackedGru {
  public:
   PackedGru() = default;
-  explicit PackedGru(const GruCell& src,
-                     const CacheGeometry& geo = CacheGeometry::host());
+  explicit PackedGru(const GruCell& src);
 
   [[nodiscard]] bool packed() const { return hidden_ != 0; }
   [[nodiscard]] std::size_t input_dim() const { return in_; }
@@ -228,7 +194,6 @@ class PackedGru {
   std::unique_ptr<float[]> bh2_;  // 2H
   std::unique_ptr<float[]> whn_;  // H x H
   std::unique_ptr<float[]> bhn_;  // H
-  MatmulPlan plan_x3_, plan_h2_, plan_hn_;
 };
 
 /// Free-function spellings of the fused forwards (the names the rest of

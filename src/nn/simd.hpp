@@ -14,8 +14,8 @@
 // each c[j] accumulates from +0 in k-ascending order and skips zero A
 // entries — and uses separate mul + add steps (the tier TUs are compiled
 // with -ffp-contract=off and no FMA), so each element's float rounding
-// sequence is identical in every tier. The vector tiers' single-slab
-// matmul is register-blocked (a block of rows x column groups of C stays
+// sequence is identical in every tier. The vector tiers' matmul is
+// register-blocked (a block of rows x column groups of C stays
 // in registers for the whole k loop) and skips zeros without a branch:
 // it adds a masked product that is +0 where the A entry is ±0. Adding +0
 // is the same as skipping, because an accumulator that starts at +0 can
@@ -36,13 +36,6 @@
 #include <cstddef>
 
 namespace syn::nn {
-
-/// k/j tile sizes for one (k_dim x n) weight matrix (see plan_matmul in
-/// nn/inference.hpp). 0 means "whole axis".
-struct MatmulPlan {
-  std::size_t k_tile = 0;  // rows of B walked per slab
-  std::size_t j_tile = 0;  // columns of B (and C) per slab
-};
 
 /// Dispatch tiers, widest last. Ordering is meaningful: levels clamp
 /// downward to host support.
@@ -72,13 +65,12 @@ SimdLevel refresh_simd_level();
 
 /// One tier's kernel table. All pointers are always non-null.
 struct SimdKernels {
-  /// C = A (rows x k_dim) * B (k_dim x n), tiled per `plan`, with
-  /// nn::matmul's exact per-element accumulation order (from +0, k
-  /// ascending, zero-skip on A entries). Every element of C is written;
-  /// its prior contents are never read. No aliasing allowed.
+  /// C = A (rows x k_dim) * B (k_dim x n) with nn::matmul's exact
+  /// per-element accumulation order (from +0, k ascending, zero-skip on A
+  /// entries). Every element of C is written; its prior contents are
+  /// never read. No aliasing allowed.
   void (*matmul_rows)(const float* a, std::size_t rows, std::size_t k_dim,
-                      const float* b, std::size_t n, float* c,
-                      const MatmulPlan& plan);
+                      const float* b, std::size_t n, float* c);
   /// y[j] += x[j] * a — the mean-aggregation accumulate (operand order
   /// matches nn::aggregate_rows: value * inv).
   void (*axpy)(float* y, const float* x, float a, std::size_t n);

@@ -25,7 +25,7 @@
 // max0 must match the scalar `x > 0.0f ? x : 0.0f` bitwise: on x86 that
 // is max_ps(x, zero) — both-zero and NaN operands resolve to SRC2 (+0).
 //
-// Register-blocked matmul and the masked zero-skip. The single-slab
+// Register-blocked matmul and the masked zero-skip. The vector tiers'
 // matmul holds a block of kBlockRows rows x up to kMaxGroups vector
 // column groups of C in registers for the whole k loop, loading each B
 // row once per block. Instead of branching on a zero A entry it adds
@@ -45,25 +45,8 @@
 
 namespace syn::nn::simd_detail {
 
-/// crow[j] += av * brow[j] for j in [j0, j1): the matmul axpy inner
-/// loop. Vector main loop + scalar tail; per-element arithmetic is one
-/// mul and one add in both, so the tail boundary never changes results.
-template <class V>
-inline void axpy_cols(float* __restrict crow, const float* __restrict brow,
-                      float av, std::size_t j0, std::size_t j1) {
-  std::size_t j = j0;
-  if constexpr (V::width > 1) {
-    const typename V::reg va = V::set1(av);
-    for (; j + V::width <= j1; j += V::width) {
-      V::storeu(crow + j,
-                V::add(V::loadu(crow + j), V::mul(va, V::loadu(brow + j))));
-    }
-  }
-  for (; j < j1; ++j) crow[j] += av * brow[j];
-}
-
-/// Rows per register block of the single-slab matmul, and the most
-/// vector column groups one block holds (8 x 4 accumulators at most).
+/// Rows per register block of the vector matmul, and the most vector
+/// column groups one block holds (8 x 4 accumulators at most).
 inline constexpr std::size_t kBlockRows = 8;
 inline constexpr std::size_t kMaxGroups = 4;
 
@@ -136,51 +119,28 @@ inline void matmul_row_block(const float* __restrict a, std::size_t k_dim,
 template <class V>
 void matmul_rows_t(const float* __restrict a, std::size_t rows,
                    std::size_t k_dim, const float* __restrict b, std::size_t n,
-                   float* __restrict c, const MatmulPlan& plan) {
-  const std::size_t kt = plan.k_tile != 0 ? plan.k_tile : k_dim;
-  const std::size_t jt = plan.j_tile != 0 ? plan.j_tile : n;
-  if (kt >= k_dim && jt >= n) {
-    if constexpr (V::width > 1) {
-      // Single slab, register-blocked: row blocks of kBlockRows, then the
-      // leftover rows one at a time. Each block writes all of its C.
-      std::size_t i = 0;
-      for (; i + kBlockRows <= rows; i += kBlockRows) {
-        matmul_row_block<V, kBlockRows>(a + i * k_dim, k_dim, b, n, c + i * n);
-      }
-      for (; i < rows; ++i) {
-        matmul_row_block<V, 1>(a + i * k_dim, k_dim, b, n, c + i * n);
-      }
-    } else {
-      // Scalar tier: exactly nn::matmul's loops.
-      for (std::size_t i = 0; i < rows * n; ++i) c[i] = 0.0f;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const float* __restrict arow = a + i * k_dim;
-        float* __restrict crow = c + i * n;
-        for (std::size_t k = 0; k < k_dim; ++k) {
-          const float av = arow[k];
-          if (av == 0.0f) continue;
-          axpy_cols<V>(crow, b + k * n, av, 0, n);
-        }
-      }
+                   float* __restrict c) {
+  if constexpr (V::width > 1) {
+    // Register-blocked: row blocks of kBlockRows, then the leftover rows
+    // one at a time. Each block writes all of its C.
+    std::size_t i = 0;
+    for (; i + kBlockRows <= rows; i += kBlockRows) {
+      matmul_row_block<V, kBlockRows>(a + i * k_dim, k_dim, b, n, c + i * n);
     }
-    return;
-  }
-  // Tiled: each C element still accumulates k-ascending (k-tiles visited
-  // in order inside its fixed j-block), so results match the fast path —
-  // and nn::matmul — bitwise.
-  for (std::size_t i = 0; i < rows * n; ++i) c[i] = 0.0f;
-  for (std::size_t j0 = 0; j0 < n; j0 += jt) {
-    const std::size_t j1 = j0 + jt < n ? j0 + jt : n;
-    for (std::size_t k0 = 0; k0 < k_dim; k0 += kt) {
-      const std::size_t k1 = k0 + kt < k_dim ? k0 + kt : k_dim;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const float* __restrict arow = a + i * k_dim;
-        float* __restrict crow = c + i * n;
-        for (std::size_t k = k0; k < k1; ++k) {
-          const float av = arow[k];
-          if (av == 0.0f) continue;
-          axpy_cols<V>(crow, b + k * n, av, j0, j1);
-        }
+    for (; i < rows; ++i) {
+      matmul_row_block<V, 1>(a + i * k_dim, k_dim, b, n, c + i * n);
+    }
+  } else {
+    // Scalar tier: exactly nn::matmul's loops.
+    for (std::size_t i = 0; i < rows * n; ++i) c[i] = 0.0f;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const float* __restrict arow = a + i * k_dim;
+      float* __restrict crow = c + i * n;
+      for (std::size_t k = 0; k < k_dim; ++k) {
+        const float av = arow[k];
+        if (av == 0.0f) continue;
+        const float* __restrict brow = b + k * n;
+        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
   }

@@ -53,10 +53,10 @@ struct FittedBackend {
 /// Builds + fits a backend by registry name; throws for unknown names.
 using BackendFactory = std::function<FittedBackend(const std::string& name)>;
 
-/// The dataset-production model tuning shared by the daemon's default
-/// factory and the generate_dataset local path. Single-sourced on
-/// purpose: byte-identical daemon-vs-CLI output depends on both sides
-/// constructing the model identically.
+/// The dataset-production model tuning that make_default_backend builds
+/// every backend with. Single-sourced on purpose: byte-identical
+/// daemon-vs-CLI output depends on both sides constructing the model
+/// identically.
 [[nodiscard]] core::BackendConfig default_backend_config();
 
 /// Node count of design i under the default attrs formula (mixed 60/80/
@@ -67,8 +67,9 @@ using BackendFactory = std::function<FittedBackend(const std::string& name)>;
 
 /// The production factory: core::make_generator(default_backend_config),
 /// fitted on the 22-design RTL corpus, attrs drawn from an AttrSampler
-/// over that corpus at default_attr_nodes(i) — field-for-field what
-/// generate_dataset does locally.
+/// over that corpus at default_attr_nodes(i). generate_dataset's local
+/// runs build their model with it too, so daemon jobs match them byte
+/// for byte.
 FittedBackend make_default_backend(const std::string& name,
                                    std::ostream* log = nullptr);
 

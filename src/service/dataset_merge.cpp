@@ -125,25 +125,12 @@ std::size_t merge_dataset_parts(const std::filesystem::path& dir,
     out.flush();
     if (!out) merge_fail(dir, "failed to write manifest.jsonl");
   }
-  {
-    // Same format ShardedDiskSink::checkpoint writes, covering the full
-    // merged range — a later resubmit (or count extension) resumes from
-    // here exactly as after a single-daemon run.
-    std::ofstream out(dir / "checkpoint.txt", std::ios::trunc);
-    out << "seed=" << seed << "\nshard_size=" << shard_size
-        << "\nnext=" << (parts.empty() ? 0 : parts.back().hi) << "\n";
-    out.flush();
-    if (!out) merge_fail(dir, "failed to write checkpoint.txt");
-  }
-  {
-    // Same format as ShardedDiskSink::finalize.
-    std::ofstream out(dir / "manifest.json", std::ios::trunc);
-    out << "{\"generator\":\"" << summary.generator << "\",\"seed\":"
-        << summary.seed << ",\"count\":" << summary.count << ",\"batch\":"
-        << summary.batch << ",\"threads\":" << summary.threads
-        << ",\"shard_size\":" << shard_size
-        << ",\"designs\":\"manifest.jsonl\"}\n";
-  }
+  // The checkpoint covers the full merged range, so a later resubmit (or
+  // count extension) resumes from here exactly as after a single-daemon
+  // run.
+  write_dataset_checkpoint(dir, seed, shard_size,
+                           parts.empty() ? 0 : parts.back().hi);
+  write_dataset_summary(dir, summary, shard_size);
 
   for (const DatasetPart& part : parts) {
     std::error_code ignored;

@@ -195,6 +195,16 @@ void prune_manifest(const std::filesystem::path& path, std::size_t next) {
   std::ofstream(path, std::ios::trunc) << kept;
 }
 
+/// Flushes `out`, the stream writing `path`, and throws if any write to it
+/// failed.
+void throw_unless_written(std::ofstream& out,
+                          const std::filesystem::path& path) {
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("failed to write " + path.generic_string());
+  }
+}
+
 }  // namespace
 
 std::size_t read_dataset_checkpoint(const std::filesystem::path& dir,
@@ -202,6 +212,29 @@ std::size_t read_dataset_checkpoint(const std::filesystem::path& dir,
                                     std::size_t shard_size,
                                     std::ostream* log) {
   return read_checkpoint(dir / "checkpoint.txt", seed, shard_size, log);
+}
+
+void write_dataset_checkpoint(const std::filesystem::path& dir,
+                              std::uint64_t seed, std::size_t shard_size,
+                              std::size_t next) {
+  const auto path = dir / "checkpoint.txt";
+  std::ofstream out(path, std::ios::trunc);
+  out << "seed=" << seed << "\nshard_size=" << shard_size
+      << "\nnext=" << next << "\n";
+  throw_unless_written(out, path);
+}
+
+void write_dataset_summary(const std::filesystem::path& dir,
+                           const DatasetSummary& summary,
+                           std::size_t shard_size) {
+  const auto path = dir / "manifest.json";
+  std::ofstream out(path, std::ios::trunc);
+  out << "{\"generator\":\"" << summary.generator << "\",\"seed\":"
+      << summary.seed << ",\"count\":" << summary.count << ",\"batch\":"
+      << summary.batch << ",\"threads\":" << summary.threads
+      << ",\"shard_size\":" << shard_size
+      << ",\"designs\":\"manifest.jsonl\"}\n";
+  throw_unless_written(out, path);
 }
 
 ShardedDiskSink::ShardedDiskSink(Options options)
@@ -282,26 +315,15 @@ void ShardedDiskSink::write(const DesignRecord& record) {
 }
 
 void ShardedDiskSink::checkpoint(std::size_t next) {
-  // A checkpoint that fails to land must abort the run: advancing past
-  // unwritten state would make a later resume silently skip designs.
-  const auto path = options_.dir / "checkpoint.txt";
-  std::ofstream out(path, std::ios::trunc);
-  out << "seed=" << options_.seed << "\nshard_size=" << options_.shard_size
-      << "\nnext=" << next << "\n";
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("ShardedDiskSink: failed to write " +
-                             path.generic_string());
-  }
+  // A checkpoint that fails to land must abort the run (the writer
+  // throws): advancing past unwritten state would make a later resume
+  // silently skip designs.
+  write_dataset_checkpoint(options_.dir, options_.seed, options_.shard_size,
+                           next);
 }
 
 void ShardedDiskSink::finalize(const DatasetSummary& summary) {
-  std::ofstream out(options_.dir / "manifest.json", std::ios::trunc);
-  out << "{\"generator\":\"" << summary.generator << "\",\"seed\":"
-      << summary.seed << ",\"count\":" << summary.count << ",\"batch\":"
-      << summary.batch << ",\"threads\":" << summary.threads
-      << ",\"shard_size\":" << options_.shard_size
-      << ",\"designs\":\"manifest.jsonl\"}\n";
+  write_dataset_summary(options_.dir, summary, options_.shard_size);
 }
 
 TeeSink& TeeSink::add(DatasetSink& mirror) {

@@ -44,15 +44,6 @@ class DirLock {
   bool held_ = false;
 };
 
-/// Reads `dir`/checkpoint.txt: the first index a resuming run still needs
-/// to produce, honoured only when the checkpoint's seed and shard_size
-/// match (a different seed is a different dataset; a different shard size
-/// would scatter resumed designs across a mixed layout). 0 when missing
-/// or mismatched.
-[[nodiscard]] std::size_t read_dataset_checkpoint(
-    const std::filesystem::path& dir, std::uint64_t seed,
-    std::size_t shard_size, std::ostream* log = nullptr);
-
 /// One finished design as it travels producer -> queue -> sink.
 struct DesignRecord {
   /// Global dataset index; design `index` is always driven by stream
@@ -71,6 +62,28 @@ struct DatasetSummary {
   std::size_t batch = 0;
   int threads = 1;
 };
+
+/// Reads `dir`/checkpoint.txt: the first index a resuming run still needs
+/// to produce, honoured only when the checkpoint's seed and shard_size
+/// match (a different seed is a different dataset; a different shard size
+/// would scatter resumed designs across a mixed layout). 0 when missing
+/// or mismatched.
+[[nodiscard]] std::size_t read_dataset_checkpoint(
+    const std::filesystem::path& dir, std::uint64_t seed,
+    std::size_t shard_size, std::ostream* log = nullptr);
+
+/// Writes `dir`/checkpoint.txt, the file read_dataset_checkpoint reads:
+/// every index < next of the dataset (seed, shard_size) is written.
+/// Throws std::runtime_error when the file cannot be written.
+void write_dataset_checkpoint(const std::filesystem::path& dir,
+                              std::uint64_t seed, std::size_t shard_size,
+                              std::size_t next);
+
+/// Writes `dir`/manifest.json, the run summary of a finished dataset.
+/// Throws std::runtime_error when the file cannot be written.
+void write_dataset_summary(const std::filesystem::path& dir,
+                           const DatasetSummary& summary,
+                           std::size_t shard_size);
 
 /// Receives a stream of finished designs. The service calls write() from
 /// ONE consumer thread, in ascending index order; checkpoint(next) marks

@@ -1,5 +1,6 @@
 // Fixed-width thread pool with task futures — the execution substrate for
-// root-parallel MCTS and any other embarrassingly parallel kernel.
+// batched generation (one chunk of designs per task) and any other
+// embarrassingly parallel kernel.
 //
 // Design rules that keep parallel results reproducible:
 //   * the pool never owns randomness — tasks receive their own Rng seeded

@@ -1,14 +1,15 @@
 // Concurrency tier: ThreadPool semantics (futures, exception propagation,
-// stress) and the root-parallel MCTS determinism contract — a fixed
-// (seed, root_trees) must produce bit-identical graphs and rewards at any
-// thread count, because the work decomposition, not the worker schedule,
-// drives every random draw. These binaries are the TSan CI job's targets.
+// stress), per-design stream splitting, and the batched generation
+// contract — a dataset's designs are bit-identical at any batch size and
+// thread count, because each design's stream, not the worker schedule,
+// drives every random draw. Also the shared synthesis cache and the
+// bounded queue under contention. These binaries are the TSan CI job's
+// targets.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -16,12 +17,9 @@
 #include <vector>
 
 #include "core/syncircuit.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/validity.hpp"
-#include "mcts/mcts.hpp"
 #include "rtl/generators.hpp"
 #include "synth/synthesizer.hpp"
-#include "tests/support/fixtures.hpp"
 #include "util/batching.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/rng.hpp"
@@ -29,10 +27,6 @@
 
 namespace syn {
 namespace {
-
-using graph::Graph;
-using testsupport::observability_reward;
-using testsupport::redundant_circuit;
 
 TEST(ThreadPool, RunsManySmallTasksToCompletion) {
   util::ThreadPool pool(4);
@@ -92,88 +86,9 @@ TEST(SplitStreams, DeterministicAndDistinct) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(std::set<std::uint64_t>(a.begin(), a.end()).size(), a.size());
   // Prefix property: the first k streams of a longer split are identical,
-  // so growing the tree count never reshuffles existing streams.
+  // so extending a dataset's count never reshuffles existing streams.
   const auto longer = util::split_streams(42, 32);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(longer[i], a[i]);
-}
-
-mcts::MctsConfig parallel_config(int threads) {
-  mcts::MctsConfig cfg;
-  cfg.simulations = 96;
-  cfg.max_depth = 6;
-  cfg.actions_per_state = 8;
-  cfg.max_registers = 4;
-  cfg.passes = 1;
-  cfg.root_trees = 8;
-  cfg.threads = threads;
-  return cfg;
-}
-
-TEST(ParallelMcts, OptimizeConeBitIdenticalAcrossThreadCounts) {
-  const Graph start = redundant_circuit(36, 91);
-  graph::NodeId reg = graph::kNoNode;
-  std::size_t best_cone = 0;
-  for (graph::NodeId i = 0; i < start.num_nodes(); ++i) {
-    if (!graph::is_sequential(start.type(i))) continue;
-    const std::size_t cone = graph::driving_cone(start, i).size();
-    if (cone > best_cone) {
-      best_cone = cone;
-      reg = i;
-    }
-  }
-  ASSERT_NE(reg, graph::kNoNode);
-
-  std::optional<std::pair<Graph, double>> reference;
-  for (int threads : {1, 2, 8}) {
-    util::Rng rng(17);  // fresh, fixed-seed stream per run
-    auto result = mcts::optimize_cone(start, reg, parallel_config(threads),
-                                      observability_reward, rng);
-    EXPECT_TRUE(graph::is_valid(result.first));
-    if (!reference) {
-      reference = std::move(result);
-      continue;
-    }
-    EXPECT_EQ(result.first, reference->first) << "threads=" << threads;
-    EXPECT_EQ(result.second, reference->second) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelMcts, OptimizeRegistersBitIdenticalAcrossThreadCounts) {
-  const Graph start = redundant_circuit(40, 92);
-  std::optional<Graph> reference;
-  for (int threads : {1, 2, 8}) {
-    util::Rng rng(23);
-    Graph result = mcts::optimize_registers(start, parallel_config(threads),
-                                            observability_reward, rng);
-    EXPECT_TRUE(graph::is_valid(result));
-    EXPECT_GE(observability_reward(result), observability_reward(start));
-    if (!reference) {
-      reference = std::move(result);
-      continue;
-    }
-    EXPECT_EQ(result, *reference) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelMcts, SharedPoolMatchesLocalExecution) {
-  // Routing the trees through a caller-owned pool must not change results.
-  const Graph start = redundant_circuit(32, 93);
-  graph::NodeId reg = graph::kNoNode;
-  for (graph::NodeId i = 0; i < start.num_nodes(); ++i) {
-    if (graph::is_sequential(start.type(i))) reg = i;
-  }
-  ASSERT_NE(reg, graph::kNoNode);
-  const auto cfg = parallel_config(1);
-
-  util::Rng rng_inline(5);
-  const auto inline_run =
-      mcts::optimize_cone(start, reg, cfg, observability_reward, rng_inline);
-  util::ThreadPool pool(4);
-  util::Rng rng_pooled(5);
-  const auto pooled_run =
-      mcts::optimize_cone(start, reg, cfg, observability_reward, rng_pooled, &pool);
-  EXPECT_EQ(inline_run.first, pooled_run.first);
-  EXPECT_EQ(inline_run.second, pooled_run.second);
 }
 
 TEST(ForEachChunk, CoversRangeInOrderWithBoundedWindows) {
@@ -246,8 +161,8 @@ TEST(BatchedGeneration, BitIdenticalToScalarAtAnyBatchAndThreadCount) {
 }
 
 TEST(SynthCache, ConcurrentLookupsStayConsistent) {
-  // The memoized synthesis oracle is shared by MCTS pool workers; hammer
-  // it from many threads and check every answer against an uncached
+  // The memoized synthesis oracle is shared by every generation worker;
+  // hammer it from many threads and check every answer against an uncached
   // reference. (This binary runs under TSan in CI.)
   synth::reset_synthesis_cache();
   const std::vector<graph::Graph> designs{
@@ -327,20 +242,6 @@ TEST(BoundedQueue, CloseRacingMultiProducerPushLosesNoAcceptedItem) {
     }
     EXPECT_EQ(popped.size(), accepted_count);
   }
-}
-
-TEST(ParallelMcts, SingleTreeConfigIgnoresThreadKnob) {
-  // root_trees=1 is the paper's single-tree search; the thread knob must
-  // not alter its trajectory.
-  const Graph start = redundant_circuit(28, 94);
-  auto cfg = parallel_config(1);
-  cfg.root_trees = 1;
-  util::Rng rng_a(3);
-  const Graph a = mcts::optimize_registers(start, cfg, observability_reward, rng_a);
-  cfg.threads = 8;
-  util::Rng rng_b(3);
-  const Graph b = mcts::optimize_registers(start, cfg, observability_reward, rng_b);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Fused-vs-tensor bitwise equivalence suite for the inference engine
-// (nn/inference.hpp): tiled matmul, arena lifecycle, PackedMlp/PackedGru
+// (nn/inference.hpp): register-blocked matmul, arena lifecycle, PackedMlp/PackedGru
 // across every Activation, batch sizes 0/1/odd, mixed widths, shared
 // packed weights across threads (TSan tier), and the SYN_SIMD_LEVEL
 // dispatch sweep — every tier the host supports must be bitwise identical
@@ -41,51 +41,18 @@ void expect_bitwise_equal(const float* fused, const Matrix& tensor) {
   }
 }
 
-TEST(CacheGeometry, DetectReturnsSaneValues) {
-  const CacheGeometry geo = CacheGeometry::detect();
-  EXPECT_GE(geo.l1d_bytes, 4u * 1024u);
-  EXPECT_GE(geo.l2_bytes, geo.l1d_bytes);
-  EXPECT_GE(geo.line_bytes, 16u);
-  EXPECT_EQ(geo.line_bytes & (geo.line_bytes - 1), 0u);  // power of two
-}
-
-TEST(PlanMatmul, SmallMatrixStaysWhole) {
-  const CacheGeometry geo;  // defaults: 32K L1d
-  const MatmulPlan plan = plan_matmul(8, 16, geo);
-  EXPECT_EQ(plan.k_tile, 8u);
-  EXPECT_EQ(plan.j_tile, 16u);
-}
-
-TEST(PlanMatmul, LargeMatrixTilesToCacheLines) {
-  CacheGeometry tiny;
-  tiny.l1d_bytes = 1024;
-  tiny.l2_bytes = 4096;
-  tiny.line_bytes = 64;
-  const MatmulPlan plan = plan_matmul(513, 129, tiny);
-  EXPECT_LT(plan.k_tile, 513u);
-  EXPECT_LT(plan.j_tile, 129u);
-  EXPECT_EQ(plan.j_tile % (tiny.line_bytes / sizeof(float)), 0u);
-}
-
 TEST(MatmulRows, TiledMatchesTensorMatmulBitwise) {
   util::Rng rng(301);
-  // Shape chosen to cross both tile boundaries with ragged remainders.
+  // Ragged shape: 37 rows leave a partial row block and 129 columns a
+  // scalar column tail at every vector width.
   const Matrix a = random_matrix(37, 513, rng);
   const Matrix b = random_matrix(513, 129, rng);
   const Matrix reference = matmul(a, b);
 
-  CacheGeometry tiny;
-  tiny.l1d_bytes = 1024;
-  tiny.l2_bytes = 4096;
-  tiny.line_bytes = 64;
-  for (const MatmulPlan& plan :
-       {plan_matmul(513, 129, tiny), plan_matmul(513, 129, CacheGeometry{}),
-        MatmulPlan{}}) {  // tiled, whole-matrix, and zero-fallback plans
-    std::vector<float> c(a.rows() * b.cols(), -1.0f);
-    matmul_rows(a.data().data(), a.rows(), a.cols(), b.data().data(), b.cols(),
-                c.data(), plan);
-    expect_bitwise_equal(c.data(), reference);
-  }
+  std::vector<float> c(a.rows() * b.cols(), -1.0f);
+  matmul_rows(a.data().data(), a.rows(), a.cols(), b.data().data(), b.cols(),
+              c.data());
+  expect_bitwise_equal(c.data(), reference);
 }
 
 TEST(Arena, GrowsReusesAndRewinds) {
@@ -139,25 +106,19 @@ TEST(PackedMlp, EmptyBatchIsSafe) {
 
 TEST(PackedMlp, MixedWidthsAndForcedTilingStayBitwise) {
   util::Rng rng(403);
-  CacheGeometry tiny;  // forces the tiled matmul path on every layer
-  tiny.l1d_bytes = 1024;
-  tiny.l2_bytes = 4096;
-  tiny.line_bytes = 64;
   for (const std::vector<std::size_t>& dims :
        {std::vector<std::size_t>{3, 31, 1},
         std::vector<std::size_t>{16, 301, 64, 2},
         std::vector<std::size_t>{1, 5, 7}}) {
     const Mlp mlp(dims, rng, Activation::kTanh);
-    for (const CacheGeometry& geo : {tiny, CacheGeometry::host()}) {
-      const PackedMlp packed(mlp, geo);
-      InferenceArena arena;
-      const Matrix x = random_matrix(7, dims.front(), rng);
-      NoGradGuard guard;
-      const Matrix reference = mlp.forward(Tensor(x)).value();
-      const float* fused =
-          mlp_forward_rows(packed, arena, x.data().data(), x.rows());
-      expect_bitwise_equal(fused, reference);
-    }
+    const PackedMlp packed(mlp);
+    InferenceArena arena;
+    const Matrix x = random_matrix(7, dims.front(), rng);
+    NoGradGuard guard;
+    const Matrix reference = mlp.forward(Tensor(x)).value();
+    const float* fused =
+        mlp_forward_rows(packed, arena, x.data().data(), x.rows());
+    expect_bitwise_equal(fused, reference);
   }
 }
 
@@ -352,26 +313,17 @@ TEST_F(SimdLevelSweep, OverridesClampAndIgnoreGarbage) {
 TEST_F(SimdLevelSweep, MatmulRowsBitwiseIdenticalAcrossTiers) {
   util::Rng rng(501);
   // Ragged shapes: 129 and 37 are not multiples of any vector width, so
-  // every tier exercises its scalar tail; the tiled plan adds unaligned
-  // j-block starts on top.
+  // every tier exercises its scalar column tail and leftover rows.
   const Matrix a = random_matrix(37, 513, rng);
   const Matrix b = random_matrix(513, 129, rng);
   const Matrix reference = matmul(a, b);
 
-  CacheGeometry tiny;
-  tiny.l1d_bytes = 1024;
-  tiny.l2_bytes = 4096;
-  tiny.line_bytes = 64;
   for (const SimdLevel level : host_levels()) {
     ASSERT_EQ(use(level), level);
-    for (const MatmulPlan& plan :
-         {plan_matmul(513, 129, tiny), plan_matmul(513, 129, CacheGeometry{}),
-          MatmulPlan{}}) {
-      std::vector<float> c(a.rows() * b.cols(), -1.0f);
-      matmul_rows(a.data().data(), a.rows(), a.cols(), b.data().data(),
-                  b.cols(), c.data(), plan);
-      expect_bitwise_equal(c.data(), reference);
-    }
+    std::vector<float> c(a.rows() * b.cols(), -1.0f);
+    matmul_rows(a.data().data(), a.rows(), a.cols(), b.data().data(),
+                b.cols(), c.data());
+    expect_bitwise_equal(c.data(), reference);
   }
 }
 
@@ -420,8 +372,8 @@ TEST_F(SimdLevelSweep, GruForwardBitwiseIdenticalAcrossTiers) {
   }
 }
 
-// The register-blocked single-slab kernel against nn::matmul, bit for
-// bit, over shapes that hit every row block (8) and leftover row, every
+// The register-blocked kernel against nn::matmul, bit for bit, over
+// shapes that hit every row block (8) and leftover row, every
 // column-group count (1-4 per block, more than one block) and the scalar
 // column tail at every vector width. A carries exact +0 and -0; the B
 // rows behind all-zero A columns carry +inf, -inf and NaN, which the
@@ -455,7 +407,7 @@ TEST_F(SimdLevelSweep, MatmulRowsBlockedMatchesSkippingReference) {
           const Matrix reference = matmul(a, b);
           std::vector<float> c(rows * n, -1.0f);
           matmul_rows(a.data().data(), rows, k_dim, b.data().data(), n,
-                      c.data(), MatmulPlan{});
+                      c.data());
           for (std::size_t e = 0; e < c.size(); ++e) {
             ASSERT_EQ(std::bit_cast<std::uint32_t>(c[e]),
                       std::bit_cast<std::uint32_t>(reference[e]))

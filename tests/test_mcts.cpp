@@ -303,7 +303,7 @@ TEST(Mcts, RewardBatchingDoesNotChangeSearchResults) {
   const Graph start = redundant_circuit(32, 95);
   const MctsConfig cfg{.simulations = 48, .max_depth = 6,
                        .actions_per_state = 8, .max_registers = 3,
-                       .passes = 1, .root_trees = 4};
+                       .passes = 1};
   util::Rng rng_scalar(11);
   const Graph unbatched =
       optimize_registers(start, cfg, scalar_only, rng_scalar);
@@ -331,41 +331,33 @@ TEST(Mcts, PinnedSearchTrajectory) {
   // every generated dataset; re-record them only when that is the intent.
   struct Case {
     std::size_t nodes;
-    int root_trees;
     bool hybrid;
     std::uint64_t digest;
   };
   const Case cases[] = {
-      {60, 1, false, 0xb1f1ede7f18ee2ceULL},
-      {60, 4, false, 0x9f5faeea00322150ULL},
-      {60, 1, true, 0xb1f1ede7f18ee2ceULL},
-      {60, 4, true, 0x9f5faeea00322150ULL},
-      {80, 1, false, 0x871b2384246776ffULL},
-      {80, 4, false, 0x44b78703c9019693ULL},
-      {80, 1, true, 0x543f1299bd2cf7f3ULL},
-      {80, 4, true, 0x9b5260f09267225bULL},
-      {100, 1, false, 0x02aa1d0a69c4a035ULL},
-      {100, 4, false, 0x8ced232b46bde283ULL},
-      {100, 1, true, 0x4ae7984735a589ddULL},
-      {100, 4, true, 0xabc789a7c9111bd3ULL},
+      {60, false, 0xb1f1ede7f18ee2ceULL},
+      {60, true, 0xb1f1ede7f18ee2ceULL},
+      {80, false, 0x871b2384246776ffULL},
+      {80, true, 0x543f1299bd2cf7f3ULL},
+      {100, false, 0x02aa1d0a69c4a035ULL},
+      {100, true, 0x4ae7984735a589ddULL},
   };
   const Reward observability = testsupport::observability_reward;
   const Reward hybrid = hybrid_reward_model(shared_discriminator());
+  const MctsConfig cfg{.simulations = 40, .max_depth = 8,
+                       .actions_per_state = 8, .max_registers = 6,
+                       .passes = 2};
   for (const Case& c : cases) {
-    const MctsConfig cfg{.simulations = 40, .max_depth = 8,
-                         .actions_per_state = 8, .max_registers = 6,
-                         .passes = 2, .root_trees = c.root_trees};
     const Graph start = redundant_circuit(c.nodes, 300 + c.nodes);
     util::Rng rng(7 + c.nodes);
     const Graph out =
         optimize_registers(start, cfg, c.hybrid ? hybrid : observability, rng);
     EXPECT_EQ(verilog_digest(out), c.digest)
-        << "nodes " << c.nodes << " root_trees " << c.root_trees
-        << " hybrid " << c.hybrid << " digest 0x" << std::hex
-        << verilog_digest(out);
+        << "nodes " << c.nodes << " hybrid " << c.hybrid << " digest 0x"
+        << std::hex << verilog_digest(out);
     EXPECT_NE(out, start) << "the search must move for the pin to mean "
                              "anything: nodes "
-                          << c.nodes << " root_trees " << c.root_trees;
+                          << c.nodes << " hybrid " << c.hybrid;
   }
 }
 

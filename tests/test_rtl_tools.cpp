@@ -1,18 +1,16 @@
 // Tests for the RTL tooling added on top of the core reproduction: the
 // word-level simulator (cross-checked against a bit-accurate model of the
-// same design), the word-level optimizer, graph export formats, the
-// additional generator families, scale-free fitting and critical paths.
+// same design), graph export formats, the additional generator families,
+// scale-free fitting and critical paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "graph/export.hpp"
 #include "graph/validity.hpp"
-#include "rtl/builder.hpp"
 #include "rtl/generators.hpp"
 #include "rtl/verilog.hpp"
 #include "rtl/simulator.hpp"
-#include "rtl/wordopt.hpp"
 #include "sta/critical_path.hpp"
 #include "stats/scalefree.hpp"
 #include "synth/synthesizer.hpp"
@@ -23,7 +21,6 @@ namespace {
 
 using graph::Graph;
 using graph::NodeType;
-using rtl::Builder;
 
 TEST(Simulator, CounterCountsAndWraps) {
   rtl::Simulator sim(rtl::make_counter(4, "cnt"));
@@ -72,70 +69,6 @@ TEST(Simulator, FifoTracksOccupancy) {
   for (int i = 0; i < 2; ++i) out = sim.step({0, 1});
   out = sim.step({0, 0});
   EXPECT_EQ(out[4], 2u);
-}
-
-TEST(WordOpt, FoldsConstantExpressions) {
-  Builder b("fold");
-  const auto x = b.input(8);
-  const auto k1 = b.constant(8, 3);
-  const auto k2 = b.constant(8, 4);
-  const auto sum = b.add(k1, k2);       // folds to 7
-  b.output(b.add(x, sum));
-  const auto result = rtl::word_optimize(b.take());
-  EXPECT_TRUE(graph::is_valid(result.graph));
-  EXPECT_GE(result.folded_constants, 1u);
-  // The folded node is a const 7.
-  bool has_const7 = false;
-  for (graph::NodeId i = 0; i < result.graph.num_nodes(); ++i) {
-    has_const7 = has_const7 || (result.graph.type(i) == NodeType::kConst &&
-                                result.graph.param(i) == 7);
-  }
-  EXPECT_TRUE(has_const7);
-}
-
-TEST(WordOpt, SweepsDeadLogic) {
-  Builder b("dead");
-  const auto x = b.input(8);
-  b.output(b.not_(x));
-  const auto dead_reg = b.reg(8);
-  b.drive_reg(dead_reg, b.mul(x, x));
-  const Graph g = b.take();
-  const auto result = rtl::word_optimize(g);
-  EXPECT_LT(result.graph.num_nodes(), g.num_nodes());
-  EXPECT_GT(result.swept_nodes, 0u);
-  EXPECT_EQ(result.graph.nodes_of_type(NodeType::kReg).size(), 0u);
-}
-
-TEST(WordOpt, PreservesBehaviourOnCorpusDesigns) {
-  for (int idx : {0, 7, 14}) {
-    auto corpus = rtl::make_corpus({.seed = 9});
-    const Graph original = std::move(corpus[static_cast<std::size_t>(idx)].graph);
-    const auto optimized = rtl::word_optimize(original);
-    ASSERT_TRUE(graph::is_valid(optimized.graph))
-        << graph::validate(optimized.graph).to_string();
-    rtl::Simulator sim_a(original);
-    rtl::Simulator sim_b(optimized.graph);
-    ASSERT_EQ(sim_a.num_inputs(), sim_b.num_inputs());
-    ASSERT_EQ(sim_a.num_outputs(), sim_b.num_outputs());
-    util::Rng rng(42 + static_cast<std::uint64_t>(idx));
-    for (int cycle = 0; cycle < 16; ++cycle) {
-      std::vector<std::uint64_t> in(sim_a.num_inputs());
-      for (auto& v : in) v = rng.next();
-      EXPECT_EQ(sim_a.step(in), sim_b.step(in))
-          << original.name() << " cycle " << cycle;
-    }
-  }
-}
-
-TEST(WordOpt, IdentityRewritesApply) {
-  Builder b("ident");
-  const auto x = b.input(8);
-  const auto zero = b.constant(8, 0);
-  b.output(b.add(x, zero));   // x + 0 == x
-  b.output(b.or_(x, zero));   // x | 0 == x
-  const auto result = rtl::word_optimize(b.take());
-  EXPECT_GE(result.identity_rewrites, 2u);
-  EXPECT_TRUE(graph::is_valid(result.graph));
 }
 
 TEST(Export, JsonRoundTripIsExact) {

@@ -421,6 +421,16 @@ TEST_F(ShardedDiskSinkTest, FreshDiscardsCheckpointAndManifest) {
   EXPECT_EQ(manifest_lines(dir_), 0u);
 }
 
+TEST_F(ShardedDiskSinkTest, FinalizeThrowsWhenTheSummaryCannotBeWritten) {
+  // A directory where manifest.json belongs makes the summary write fail;
+  // the sink must report it instead of finishing as if it had landed.
+  ShardedDiskSink sink({.dir = dir_, .seed = 5, .shard_size = 2,
+                        .with_synth_stats = false});
+  std::filesystem::create_directories(dir_ / "manifest.json");
+  EXPECT_THROW(sink.finalize({.generator = "stub", .seed = 5, .count = 0}),
+               std::runtime_error);
+}
+
 TEST_F(ShardedDiskSinkTest, FlatLayoutWhenShardingDisabled) {
   StubModel model;
   const auto sampler = corpus_sampler();
