@@ -8,7 +8,9 @@ Usage:
         [bench/baselines/bench_micro.json]
 
 Prints a per-benchmark table of real_time deltas and flags rows outside
-an advisory +/-25% band. The threshold is advisory by design: the
+an advisory +/-25% band; a benchmark recorded with
+--benchmark_repetitions is compared by its median aggregate. The
+threshold is advisory by design: the
 baselines were recorded on one specific (1-CPU container) machine, and
 google-benchmark timings on shared runners jitter well past what a
 hard gate could tolerate. The exit code is always 0 unless inputs are
@@ -22,22 +24,24 @@ import sys
 
 THRESHOLD = 0.25  # advisory band: |delta| beyond this is called out
 
-# Aggregate rows (mean/median/stddev) only appear with --benchmark_repetitions;
-# skip them so each benchmark contributes one comparable row.
-SKIP_RUN_TYPES = {"aggregate"}
-
 
 def load_rows(path):
+    """One comparable row per benchmark, keyed by its run name: the median
+    aggregate when the run repeated it (--benchmark_repetitions), else its
+    single iteration row. Other aggregates (mean, stddev, cv) are skipped."""
     with open(path) as fh:
         doc = json.load(fh)
-    rows = {}
+    rows, medians = {}, {}
     for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") in SKIP_RUN_TYPES:
-            continue
-        name = bench.get("name")
+        name = bench.get("run_name", bench.get("name"))
         time = bench.get("real_time")
-        if name and isinstance(time, (int, float)) and time > 0:
+        if not name or not isinstance(time, (int, float)) or time <= 0:
+            continue
+        if bench.get("run_type") != "aggregate":
             rows[name] = bench
+        elif bench.get("aggregate_name") == "median":
+            medians[name] = bench
+    rows.update(medians)
     return doc.get("context", {}), rows
 
 

@@ -202,78 +202,83 @@ std::vector<DiffusionSample> DiffusionModel::sample_batch(
 
   // Per-chain state. A chain only ever touches its own rng, in the exact
   // order of the scalar path: A_T first, then one posterior draw per pair
-  // per step — lockstep batching changes no draw.
+  // per step — lockstep batching changes no draw. A_t is kept as what the
+  // denoiser reads: one bit per pair, and each node's parent list. Pairs
+  // run in (i, j) order, so appending each drawn edge's i to parents[j]
+  // lists parents in ascending order, as Denoiser::parent_lists does.
   struct Chain {
     Matrix features;
     std::vector<Pair> pairs;
-    AdjacencyMatrix at{0};
+    std::vector<std::uint8_t> state;  // A_t per pair
+    std::vector<std::uint8_t> next;   // A_{t-1} per pair, being drawn
+    std::vector<std::vector<std::size_t>> parents;  // parent lists of A_t
     Matrix edge_prob;
-    std::vector<std::uint8_t> state;
-    std::vector<std::vector<std::size_t>> parents;
+
+    /// Records the draw for pair k into `bits`.
+    void draw(std::size_t k, bool edge, std::vector<std::uint8_t>& bits) {
+      bits[k] = edge ? 1 : 0;
+      if (edge) parents[pairs[k].dst].push_back(pairs[k].src);
+    }
   };
   std::vector<Chain> chain(chains);
   for (std::size_t c = 0; c < chains; ++c) {
+    Chain& ch = chain[c];
     const std::size_t n = attrs[c].size();
-    chain[c].features = Denoiser::node_features(attrs[c]);
-    chain[c].pairs.reserve(n * (n - 1));
+    ch.features = Denoiser::node_features(attrs[c]);
+    ch.pairs.reserve(n * (n - 1));
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         if (i != j) {
-          chain[c].pairs.push_back(
+          ch.pairs.push_back(
               {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
         }
       }
     }
     // A_T ~ stationary noise.
-    chain[c].at = AdjacencyMatrix(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i != j) {
-          chain[c].at.set(i, j,
-                          rngs[c].bernoulli(schedule_->noise_marginal()));
-        }
-      }
+    ch.state.resize(ch.pairs.size());
+    ch.next.resize(ch.pairs.size());
+    ch.parents.resize(n);
+    for (std::size_t k = 0; k < ch.pairs.size(); ++k) {
+      ch.draw(k, rngs[c].bernoulli(schedule_->noise_marginal()), ch.state);
     }
-    chain[c].edge_prob = Matrix(n, n);
+    ch.edge_prob = Matrix(n, n);
   }
 
+  std::vector<GraphStepInput> inputs(chains);
+  for (std::size_t c = 0; c < chains; ++c) {
+    inputs[c] = {&chain[c].features, &chain[c].parents, &chain[c].pairs,
+                 &chain[c].state};
+  }
   for (int t = schedule_->steps(); t >= 1; --t) {
-    std::vector<GraphStepInput> inputs;
-    inputs.reserve(chains);
-    for (std::size_t c = 0; c < chains; ++c) {
-      chain[c].state.resize(chain[c].pairs.size());
-      for (std::size_t k = 0; k < chain[c].pairs.size(); ++k) {
-        chain[c].state[k] =
-            chain[c].at.at(chain[c].pairs[k].src, chain[c].pairs[k].dst) ? 1
-                                                                         : 0;
-      }
-      chain[c].parents = Denoiser::parent_lists(chain[c].at);
-      inputs.push_back({&chain[c].features, &chain[c].parents,
-                        &chain[c].pairs, &chain[c].state});
-    }
     // One packed denoiser forward for all K chains at this step.
     const std::vector<Matrix> logits = denoiser_.predict_batch(inputs, t);
     for (std::size_t c = 0; c < chains; ++c) {
-      AdjacencyMatrix next(chain[c].at.size());
-      for (std::size_t k = 0; k < chain[c].pairs.size(); ++k) {
-        const auto i = chain[c].pairs[k].src;
-        const auto j = chain[c].pairs[k].dst;
+      Chain& ch = chain[c];
+      for (auto& p : ch.parents) p.clear();  // refilled with A_{t-1}
+      for (std::size_t k = 0; k < ch.pairs.size(); ++k) {
         const double p0_hat =
-            1.0 /
-            (1.0 + std::exp(-static_cast<double>(logits[c].at(k, 0))));
+            1.0 / (1.0 + std::exp(-static_cast<double>(logits[c].at(k, 0))));
         const double p_prev =
-            schedule_->posterior(t, chain[c].at.at(i, j), p0_hat);
-        next.set(i, j, rngs[c].bernoulli(p_prev));
-        if (t == 1) chain[c].edge_prob.at(i, j) = static_cast<float>(p_prev);
+            schedule_->posterior(t, ch.state[k] != 0, p0_hat);
+        ch.draw(k, rngs[c].bernoulli(p_prev), ch.next);
+        if (t == 1) {
+          ch.edge_prob.at(ch.pairs[k].src, ch.pairs[k].dst) =
+              static_cast<float>(p_prev);
+        }
       }
-      chain[c].at = std::move(next);
+      ch.state.swap(ch.next);
     }
   }
 
   std::vector<DiffusionSample> out;
   out.reserve(chains);
   for (std::size_t c = 0; c < chains; ++c) {
-    out.push_back({std::move(chain[c].at), std::move(chain[c].edge_prob)});
+    AdjacencyMatrix a0(attrs[c].size());
+    for (std::size_t k = 0; k < chain[c].pairs.size(); ++k) {
+      a0.set(chain[c].pairs[k].src, chain[c].pairs[k].dst,
+             chain[c].state[k] != 0);
+    }
+    out.push_back({std::move(a0), std::move(chain[c].edge_prob)});
   }
   return out;
 }

@@ -36,6 +36,21 @@ Schedule::Schedule(int steps, double noise_marginal)
         alpha_bar_[static_cast<std::size_t>(t)] /
         alpha_bar_[static_cast<std::size_t>(t - 1)];
   }
+  // In ratio()'s index order; t = 0 has no reverse step.
+  ratio_.assign(4, 0.0);
+  for (int t = 1; t <= steps; ++t) {
+    for (const bool at : {false, true}) {
+      for (const bool x0 : {false, true}) {
+        // q(A_{t-1}=s | A_t=at, A_0=x0) ∝ q_step(t, s, at) * q_bar(t-1, x0, s)
+        const double w1 = q_step(t, true, at) * q_bar(t - 1, x0, true);
+        const double w0 = q_step(t, false, at) * q_bar(t - 1, x0, false);
+        const double denom = w0 + w1;
+        // A zero denominator adds nothing to the posterior; a 0 ratio adds
+        // p_x0 * 0 = +0, which leaves the sum's bits unchanged.
+        ratio_.push_back(denom > 0.0 ? w1 / denom : 0.0);
+      }
+    }
+  }
 }
 
 double Schedule::q_t_given_0(int t, bool a0) const {
@@ -61,11 +76,7 @@ double Schedule::posterior(int t, bool at, double p0_hat) const {
   for (const bool x0 : {false, true}) {
     const double p_x0 = x0 ? p0_hat : 1.0 - p0_hat;
     if (p_x0 <= 0.0) continue;
-    // q(A_{t-1}=s | A_t=at, A_0=x0) ∝ q_step(t, s, at) * q_bar(t-1, x0, s)
-    const double w1 = q_step(t, true, at) * q_bar(t - 1, x0, true);
-    const double w0 = q_step(t, false, at) * q_bar(t - 1, x0, false);
-    const double denom = w0 + w1;
-    if (denom > 0.0) result += p_x0 * (w1 / denom);
+    result += p_x0 * ratio(t, at, x0);
   }
   return std::clamp(result, 0.0, 1.0);
 }

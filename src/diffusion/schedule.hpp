@@ -35,7 +35,9 @@ class Schedule {
   [[nodiscard]] double q_t_given_0(int t, bool a0) const;
 
   /// p(A_{t-1} = 1 | A_t = at, p(A_0=1) = p0_hat): the x0-parameterized
-  /// reverse posterior, marginalized over the predicted clean bit.
+  /// reverse posterior, marginalized over the predicted clean bit. p0_hat
+  /// is clamped to [0, 1]. Reverse sampling calls this once per pair per
+  /// step, so the per-(t, at, x0) ratios are precomputed.
   [[nodiscard]] double posterior(int t, bool at, double p0_hat) const;
 
  private:
@@ -43,11 +45,17 @@ class Schedule {
   [[nodiscard]] double q_step(int t, bool s, bool at) const;
   /// q-bar_{t}(x0 -> s): t-step transition from x0 to s.
   [[nodiscard]] double q_bar(int t, bool x0, bool s) const;
+  /// q(A_{t-1} = 1 | A_t = at, A_0 = x0).
+  [[nodiscard]] double ratio(int t, bool at, bool x0) const {
+    return ratio_[static_cast<std::size_t>(t) * 4 + (at ? 2 : 0) +
+                  (x0 ? 1 : 0)];
+  }
 
   int steps_;
   double m1_;  // stationary P(edge)
   std::vector<double> alpha_;      // index 1..T
   std::vector<double> alpha_bar_;  // index 0..T
+  std::vector<double> ratio_;      // ratio(t, at, x0) for t in 1..T
 };
 
 }  // namespace syn::diffusion

@@ -227,19 +227,24 @@ std::vector<NodeId> driving_cone(const Graph& g, NodeId reg) {
 }
 
 std::vector<bool> observable_mask(const Graph& g) {
-  std::vector<bool> mask;
+  std::vector<std::uint64_t> words;
   std::vector<NodeId> work;
-  observable_mask(g, mask, work);
+  observable_mask(g, words, work);
+  std::vector<bool> mask(g.num_nodes());
+  for (NodeId i = 0; i < g.num_nodes(); ++i) mask[i] = mask_bit(words, i);
   return mask;
 }
 
-void observable_mask(const Graph& g, std::vector<bool>& mask,
+void observable_mask(const Graph& g, std::vector<std::uint64_t>& words,
                      std::vector<NodeId>& work) {
-  mask.assign(g.num_nodes(), false);
+  words.assign((g.num_nodes() + 63) / 64, 0);
+  const auto mark = [&words](NodeId i) {
+    words[i / 64] |= std::uint64_t{1} << (i % 64);
+  };
   work.clear();
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
     if (is_sink(g.type(i))) {
-      mask[i] = true;
+      mark(i);
       work.push_back(i);
     }
   }
@@ -247,8 +252,8 @@ void observable_mask(const Graph& g, std::vector<bool>& mask,
     const NodeId cur = work.back();
     work.pop_back();
     for (NodeId p : g.fanins(cur)) {
-      if (p == kNoNode || mask[p]) continue;
-      mask[p] = true;
+      if (p == kNoNode || mask_bit(words, p)) continue;
+      mark(p);
       work.push_back(p);
     }
   }

@@ -50,11 +50,20 @@ std::vector<NodeId> driving_cone(const Graph& g, NodeId reg);
 /// fan-out edges (i.e. it is observable and survives a dead-logic sweep).
 std::vector<bool> observable_mask(const Graph& g);
 
-/// The same mask written into caller-owned buffers (`mask` is resized to
-/// the node count, `work` is the traversal stack), so a caller that masks
-/// many graphs allocates only when one outgrows them.
-void observable_mask(const Graph& g, std::vector<bool>& mask,
+/// The same mask packed into caller-owned 64-bit words: node i's flag is
+/// bit i % 64 of words[i / 64], and bits past the node count are 0.
+/// `words` is resized to ceil(N / 64) and `work` is the traversal stack,
+/// so a caller that masks many graphs allocates only when one outgrows
+/// them. Two graphs with the same node count have the same mask iff their
+/// words compare equal.
+void observable_mask(const Graph& g, std::vector<std::uint64_t>& words,
                      std::vector<NodeId>& work);
+
+/// Node `i`'s flag in a packed mask.
+[[nodiscard]] inline bool mask_bit(const std::vector<std::uint64_t>& words,
+                                   NodeId i) {
+  return ((words[i / 64] >> (i % 64)) & 1U) != 0;
+}
 
 /// Out-degree of every node (number of fan-in slots it drives).
 std::vector<std::size_t> out_degrees(const Graph& g);

@@ -23,43 +23,52 @@ using graph::NodeType;
 
 namespace {
 
-/// Observable mask of `g` in this thread's reused buffers: scoring a state
-/// allocates nothing once they have grown to the largest graph seen.
-const std::vector<bool>& thread_observable_mask(const Graph& g) {
-  thread_local std::vector<bool> mask;
+/// Packed observable mask of `g` in this thread's reused buffers: scoring
+/// a state allocates nothing once they have grown to the largest graph
+/// seen.
+const std::vector<std::uint64_t>& thread_observable_mask(const Graph& g) {
+  thread_local std::vector<std::uint64_t> words;
   thread_local std::vector<NodeId> work;
-  graph::observable_mask(g, mask, work);
-  return mask;
+  graph::observable_mask(g, words, work);
+  return words;
 }
 
 /// observable_register_fraction's arithmetic on a computed mask.
-double register_fraction(const Graph& g, const std::vector<bool>& mask) {
+double register_fraction(const Graph& g,
+                         const std::vector<std::uint64_t>& mask) {
   double seen = 0.0, total = 0.0;
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
     if (!graph::is_sequential(g.type(i))) continue;
     const double w = g.width(i);
     total += w;
-    if (mask[i]) seen += w;
+    if (graph::mask_bit(mask, i)) seen += w;
   }
   return total > 0.0 ? seen / total : 0.0;
 }
 
 /// Writes pcs_features(g) to f[0, kPcsFeatureDim) and returns
 /// observable_register_fraction(g), both from one observable mask.
+///
+/// Every feature reads only the mask and what a fan-in swap cannot move
+/// (node types and widths, fan-out counts, the edge count), so on the
+/// swap-descendants of one graph the features, and the hybrid reward built
+/// on them, are a function of the mask alone: Phase 3's score memo relies
+/// on it (Reward::observability_keyed).
 double features_and_observability(const Graph& g, double* f) {
   const double n = std::max<std::size_t>(g.num_nodes(), 1);
-  const std::vector<bool>& mask = thread_observable_mask(g);
+  const std::vector<std::uint64_t>& mask = thread_observable_mask(g);
 
   std::size_t observable = 0;
   std::size_t observable_regs = 0, regs = 0;
   std::size_t observable_width = 0, total_width = 0;
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
-    observable += mask[i];
+    const bool seen = graph::mask_bit(mask, i);
+    observable += seen;
     total_width += static_cast<std::size_t>(g.width(i));
-    if (mask[i]) observable_width += static_cast<std::size_t>(g.width(i));
+    if (seen) observable_width += static_cast<std::size_t>(g.width(i));
     if (graph::is_sequential(g.type(i))) {
       ++regs;
-      observable_regs += mask[i];
+      observable_regs += seen;
     }
   }
   std::size_t d = 0;  // next feature slot
@@ -85,7 +94,7 @@ double features_and_observability(const Graph& g, double* f) {
   std::size_t hist[graph::kNumNodeTypes] = {};
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
     ++hist[static_cast<std::size_t>(g.type(i))];
-    if (!mask[i]) continue;
+    if (!graph::mask_bit(mask, i)) continue;
     const double w = g.width(i);
     if (g.type(i) == NodeType::kMul) mul_mass += w * w;
     if (g.type(i) == NodeType::kAdd || g.type(i) == NodeType::kSub) {
@@ -274,7 +283,9 @@ Reward hybrid_reward_model(const PcsDiscriminator& discriminator,
     }
     return out;
   };
-  return {std::move(single), std::move(batch)};
+  // Both terms read only what pcs_features reads, which is a function of
+  // the observable mask on one graph's swap-descendants.
+  return Reward::observability_keyed(std::move(single), std::move(batch));
 }
 
 }  // namespace syn::mcts

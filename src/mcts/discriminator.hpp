@@ -90,8 +90,10 @@ RewardFn hybrid_reward(const PcsDiscriminator& discriminator,
                        double bonus = 10.0);
 
 /// `hybrid_reward` packaged with a batched path built on `score_batch`:
-/// the reward model MCTS uses to score all states of a simulation in one
-/// discriminator forward pass. Scalar and batched paths agree bitwise.
+/// the reward model MCTS uses. Scalar and batched paths agree bitwise.
+/// Both terms are functions of the observable mask on one graph's
+/// swap-descendants, so the reward is declared observability-keyed and
+/// optimize_registers scores each distinct mask once.
 Reward hybrid_reward_model(const PcsDiscriminator& discriminator,
                            double bonus = 10.0);
 

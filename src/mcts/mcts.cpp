@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -102,19 +104,77 @@ struct TreeNode {
   std::vector<std::unique_ptr<TreeNode>> children;
 };
 
-/// Samples the node's candidate actions; `state` is the graph at `node`.
-void seed_actions(TreeNode& node, const Graph& state,
+/// A packed observable mask (graph::observable_mask).
+using Mask = std::vector<std::uint64_t>;
+
+struct MaskHash {
+  std::size_t operator()(const Mask& words) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (const std::uint64_t w : words) {
+      h = (h ^ w) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// Scores the states of one optimize_registers call. The working graph's
+/// observable mask is computed once per new state (`observe`); seed_actions
+/// reads it, and for an observability-keyed reward it is also the key of
+/// a memo, so `Reward` runs only for a mask this call has not scored yet.
+/// All states of a call are swap-descendants of its input graph, which is
+/// what makes the key exact; the memo dies with the call.
+class StateScorer {
+ public:
+  explicit StateScorer(const Reward& reward) : reward_(reward) {}
+
+  [[nodiscard]] bool keyed() const { return reward_.keyed_by_observability(); }
+
+  /// Computes the mask of `g` as it stands now.
+  const Mask& observe(const Graph& g) {
+    graph::observable_mask(g, mask_, work_);
+    return mask_;
+  }
+
+  /// The reward of a search state, through Reward::score. For a keyed
+  /// reward, `observe` must have seen `g` as it stands.
+  double score(const Graph& g) {
+    return memoized([&] { return reward_.score(g); });
+  }
+  /// The reward of a tree's start state, through the scalar function
+  /// (bitwise equal to score(), per the Reward contract).
+  double score_start(const Graph& g) {
+    return memoized([&] { return reward_(g); });
+  }
+
+ private:
+  template <typename Compute>
+  double memoized(const Compute& compute) {
+    if (!keyed()) return compute();
+    const auto [it, inserted] = memo_.try_emplace(mask_, 0.0);
+    if (inserted) it->second = compute();
+    return it->second;
+  }
+
+  const Reward& reward_;
+  Mask mask_;
+  std::vector<NodeId> work_;
+  std::unordered_map<Mask, double, MaskHash> memo_;
+};
+
+/// Samples the node's candidate actions; `state` is the graph at `node`
+/// and `mask` its observable mask.
+void seed_actions(TreeNode& node, const Graph& state, const Mask& mask,
                   const std::vector<NodeId>& cone_pool,
                   const std::vector<NodeId>& global_pool,
                   const MctsConfig& config, util::Rng& rng) {
   node.untried.clear();
   if (cone_pool.empty() || global_pool.size() < 2) return;
-  // Observable swap counterparties of *this* state (recomputed per node:
-  // swaps change observability).
-  const auto mask = graph::observable_mask(state);
+  // Observable swap counterparties of *this* state (swaps change
+  // observability).
   std::vector<NodeId> observable_pool;
   for (NodeId n : global_pool) {
-    if (mask[n]) observable_pool.push_back(n);
+    if (graph::mask_bit(mask, n)) observable_pool.push_back(n);
   }
   for (int k = 0; k < config.actions_per_state; ++k) {
     node.untried.push_back(
@@ -131,7 +191,7 @@ void seed_actions(TreeNode& node, const Graph& state,
 /// in place, then undoes its swaps newest first. Only a new best state is
 /// copied out.
 Graph optimize_cone(const Graph& start, NodeId reg, const MctsConfig& config,
-                    const Reward& reward, util::Rng& rng) {
+                    StateScorer& scorer, util::Rng& rng) {
   const std::vector<NodeId> cone = graph::driving_cone(start, reg);
   const std::vector<NodeId> cone_pool = swap_candidates(start, cone);
   std::vector<NodeId> all_nodes(start.num_nodes());
@@ -140,14 +200,15 @@ Graph optimize_cone(const Graph& start, NodeId reg, const MctsConfig& config,
 
   Graph g = start;
   TreeNode root;
-  root.reward = reward(start);
-  seed_actions(root, g, cone_pool, global_pool, config, rng);
+  seed_actions(root, g, scorer.observe(g), cone_pool, global_pool, config,
+               rng);
+  root.reward = scorer.score_start(g);
 
   Graph best_state = start;
   double best_reward = root.reward;
   // Scores the working graph's state; a new best is copied out.
   const auto score = [&] {
-    const double r = reward.score(g);
+    const double r = scorer.score(g);
     if (r > best_reward) {
       best_reward = r;
       best_state = g;
@@ -192,7 +253,8 @@ Graph optimize_cone(const Graph& start, NodeId reg, const MctsConfig& config,
         applied.push_back(action);
         auto child = std::make_unique<TreeNode>();
         child->action = action;
-        seed_actions(*child, g, cone_pool, global_pool, config, rng);
+        seed_actions(*child, g, scorer.observe(g), cone_pool, global_pool,
+                     config, rng);
         child->reward = score();
         node->children.push_back(std::move(child));
         node = node->children.back().get();
@@ -210,6 +272,7 @@ Graph optimize_cone(const Graph& start, NodeId reg, const MctsConfig& config,
           random_action(g, cone_pool, global_pool, {}, rng);
       if (!apply_swap(g, action)) continue;
       applied.push_back(action);
+      if (scorer.keyed()) scorer.observe(g);
       reward_max = std::max(reward_max, score());
     }
     // Back to the start state for the next simulation.
@@ -242,10 +305,11 @@ Graph optimize_registers(const Graph& gval, const MctsConfig& config,
       regs.size() > static_cast<std::size_t>(config.max_registers)) {
     regs.resize(static_cast<std::size_t>(config.max_registers));
   }
+  StateScorer scorer(reward);
   Graph current = gval;
   for (int pass = 0; pass < std::max(1, config.passes); ++pass) {
     for (const auto& [cone_size, reg] : regs) {
-      current = optimize_cone(current, reg, config, reward, rng);
+      current = optimize_cone(current, reg, config, scorer, rng);
     }
   }
   return current;

@@ -18,6 +18,13 @@
 // per pre-synthesis node — supplied as a callback so the exact synthesis
 // oracle and the learned discriminator are interchangeable.
 //
+// Every state of a search descends from its input by swaps, which move no
+// node type, width or fan-out count. A reward that reads nothing else but
+// the observable mask (the production hybrid reward) declares so
+// (Reward::observability_keyed), and optimize_registers then scores each
+// distinct mask once: it computes every new state's mask, packed, and
+// looks the score up in a memo that lives for that one call.
+//
 // Each register cone gets one tree (paper §VI), driven by the caller's RNG
 // stream; cones are searched one after another, each from the best state
 // found so far. Concurrency lives a level up: dataset jobs generate
@@ -86,6 +93,17 @@ class Reward {
   Reward(RewardFn single, BatchRewardFn batch)
       : single_(std::move(single)), batch_(std::move(batch)) {}
 
+  /// A reward that declares itself a pure function of a state's observable
+  /// mask (graph::observable_mask) among the swap-descendants of one
+  /// graph: two such states with equal masks get bitwise-equal rewards.
+  /// optimize_registers then scores each distinct mask once per call.
+  /// Only declare it for a reward that reads nothing else a swap moves.
+  static Reward observability_keyed(RewardFn single, BatchRewardFn batch) {
+    Reward r(std::move(single), std::move(batch));
+    r.keyed_by_observability_ = true;
+    return r;
+  }
+
   double operator()(const graph::Graph& g) const { return single_(g); }
 
   /// The reward of one search state: the batch function over a span of
@@ -93,14 +111,21 @@ class Reward {
   [[nodiscard]] double score(const graph::Graph& g) const;
 
   [[nodiscard]] bool defined() const { return static_cast<bool>(single_); }
+  [[nodiscard]] bool keyed_by_observability() const {
+    return keyed_by_observability_;
+  }
 
  private:
   RewardFn single_;
   BatchRewardFn batch_;
+  bool keyed_by_observability_ = false;
 };
 
 /// Full Phase 3: one UCB1 tree per register cone, cones optimized one by
-/// one (paper §VI-A), each starting from the best state found so far.
+/// one (paper §VI-A), each starting from the best state found so far. For
+/// an observability-keyed reward the call keeps a memo from observable
+/// mask to reward, so a state whose mask the call has already scored is
+/// not scored again; the result is the same as without the memo.
 graph::Graph optimize_registers(const graph::Graph& gval,
                                 const MctsConfig& config,
                                 const Reward& reward, util::Rng& rng);

@@ -4,7 +4,12 @@
 
 namespace syn::nn {
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
+// Model fitting runs the three training-path products below. How fast
+// their inner loops run depends on where each function sits relative to a
+// 64-byte boundary, so each starts on one: when an unrelated change moved
+// them from offset 0 to 32, the syncircuit backend's fit took ~14% longer.
+
+[[gnu::aligned(64)]] Matrix matmul(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
   Matrix c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -19,7 +24,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
+[[gnu::aligned(64)]] Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   Matrix c(a.cols(), b.cols());
   for (std::size_t k = 0; k < a.rows(); ++k) {
@@ -34,7 +39,7 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
+[[gnu::aligned(64)]] Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   Matrix c(a.rows(), b.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {

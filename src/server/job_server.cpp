@@ -521,6 +521,11 @@ Json JobServer::job_json(const JobScheduler::Info& info) const {
 }
 
 Json JobServer::metrics_json() {
+  // Read before the snapshot pulls the tracked_specs/event_logs gauges:
+  // gc_terminal_jobs erases an evicted job's spec and log before it counts
+  // it, and the registry lock orders that count before this read, so the
+  // gauges pulled next already show every job counted here as gone.
+  const std::uint64_t expired = registry_.counter("jobs_expired");
   // snapshot() pulls the registered gauges, which take mutex_ — so this
   // must run with no server lock held (the registry never holds its own
   // lock across the calls either; it is a strict leaf).
@@ -535,7 +540,7 @@ Json JobServer::metrics_json() {
   jobs.set("done", counts.done);
   jobs.set("failed", counts.failed);
   jobs.set("cancelled", counts.cancelled);
-  jobs.set("expired", registry_.counter("jobs_expired"));
+  jobs.set("expired", expired);
   jobs.set("tracked",
            static_cast<std::uint64_t>(scheduler_->tracked_jobs()));
   metrics.set("jobs", std::move(jobs));

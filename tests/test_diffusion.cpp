@@ -3,9 +3,12 @@
 // tiny corpus (the model must learn to reproduce a structure it has seen).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "diffusion/model.hpp"
@@ -63,6 +66,59 @@ TEST(Schedule, PosteriorIsValidProbability) {
         const double q = s.posterior(t, at, p);
         EXPECT_GE(q, 0.0);
         EXPECT_LE(q, 1.0);
+      }
+    }
+  }
+}
+
+TEST(Schedule, PosteriorMatchesClosedForm) {
+  // The two-state D3PM posterior written out from the schedule's public
+  // parameters, in the operation order of the precomputed ratios: the two
+  // must agree bitwise, or reverse sampling draws different edges.
+  for (const auto& [steps, marginal] : {std::pair{6, 0.05}, {9, 0.2}}) {
+    const Schedule s(steps, marginal);
+    const double m1 = s.noise_marginal();
+    // q(A_t = to | A_{t-1} = from) and q(A_t = to | A_0 = x0).
+    const auto q_step = [&](int t, bool from, bool to) {
+      const double a = s.alpha(t);
+      return a * (from == to ? 1.0 : 0.0) + (1.0 - a) * (to ? m1 : 1.0 - m1);
+    };
+    const auto q_bar = [&](int t, bool x0, bool to) {
+      const double ab = s.alpha_bar(t);
+      return ab * (x0 == to ? 1.0 : 0.0) + (1.0 - ab) * (to ? m1 : 1.0 - m1);
+    };
+    const auto closed_form = [&](int t, bool at, double p0_hat) {
+      p0_hat = std::clamp(p0_hat, 0.0, 1.0);
+      double result = 0.0;
+      for (const bool x0 : {false, true}) {
+        const double p_x0 = x0 ? p0_hat : 1.0 - p0_hat;
+        if (p_x0 <= 0.0) continue;
+        const double w1 = q_step(t, true, at) * q_bar(t - 1, x0, true);
+        const double w0 = q_step(t, false, at) * q_bar(t - 1, x0, false);
+        const double denom = w0 + w1;
+        if (denom > 0.0) result += p_x0 * (w1 / denom);
+      }
+      return std::clamp(result, 0.0, 1.0);
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double p0_hats[] = {0.0,
+                              1.0,
+                              std::nextafter(0.0, 1.0),
+                              1e-12,
+                              std::nextafter(1.0, 0.0),
+                              1.0 - 1e-12,
+                              0.5,
+                              -0.25,
+                              1.25,
+                              -inf,
+                              inf};
+    for (int t = 1; t <= steps; ++t) {
+      for (const bool at : {false, true}) {
+        for (const double p0_hat : p0_hats) {
+          EXPECT_EQ(s.posterior(t, at, p0_hat), closed_form(t, at, p0_hat))
+              << "steps " << steps << " t " << t << " at " << at
+              << " p0_hat " << p0_hat;
+        }
       }
     }
   }

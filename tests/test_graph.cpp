@@ -1,6 +1,8 @@
 // Unit tests for the DCG IR, constraint checking and graph algorithms.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/adjacency.hpp"
@@ -193,6 +195,33 @@ TEST(Observability, DeadBranchInvisible) {
   EXPECT_TRUE(mask[live]);
   EXPECT_TRUE(mask[in]);
   EXPECT_FALSE(mask[dead]);
+}
+
+TEST(Observability, PackedMaskMatchesBoolMask) {
+  // Past 64 nodes the packed mask spans words; bits past the node count
+  // stay 0, so equal masks compare equal as words.
+  Builder b("t");
+  const auto in = b.input(4);
+  auto live = in;
+  for (int i = 0; i < 40; ++i) {
+    live = b.not_(live);
+    (void)b.add(live, in);  // dead
+  }
+  b.output(live);
+  const Graph g = b.take();
+  ASSERT_GT(g.num_nodes(), 64u);
+  std::vector<std::uint64_t> words{~std::uint64_t{0}};  // stale contents
+  std::vector<NodeId> work{7};
+  observable_mask(g, words, work);
+  ASSERT_EQ(words.size(), (g.num_nodes() + 63) / 64);
+  const std::vector<bool> mask = observable_mask(g);
+  std::size_t observable = 0;
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    EXPECT_EQ(mask_bit(words, i), mask[i]) << "node " << i;
+    observable += mask[i];
+  }
+  EXPECT_EQ(observable, 42u);  // the input, 40 nots and the output
+  EXPECT_EQ(words.back() >> (g.num_nodes() % 64), 0u);
 }
 
 TEST(Validity, CompleteValidGraphPasses) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -314,6 +315,92 @@ TEST(Mcts, RewardBatchingDoesNotChangeSearchResults) {
   EXPECT_TRUE(graph::is_valid(batched));
 }
 
+TEST(Mcts, ObservabilityKeyedRewardDependsOnlyOnTheMask) {
+  // The score memo's premise: on the swap-descendants of one graph, states
+  // with equal observable masks get bitwise-equal hybrid rewards. This
+  // fails if a discriminator feature starts to read something a swap
+  // moves.
+  const Reward hybrid = hybrid_reward_model(shared_discriminator());
+  ASSERT_TRUE(hybrid.keyed_by_observability());
+  EXPECT_FALSE(
+      Reward(hybrid_reward(shared_discriminator())).keyed_by_observability());
+  for (const std::size_t nodes : {60, 80, 100}) {
+    Graph g = redundant_circuit(nodes, 400 + nodes);
+    util::Rng rng(nodes);
+    struct Seen {
+      double reward;
+      Graph state;
+    };
+    std::map<std::vector<std::uint64_t>, Seen> by_mask;
+    std::vector<std::uint64_t> mask;
+    std::vector<graph::NodeId> work;
+    int repeats = 0;  // distinct states that share an earlier state's mask
+    for (int step = 0; step < 400; ++step) {
+      SwapAction a;
+      a.child_a = static_cast<graph::NodeId>(rng.uniform_int(g.num_nodes()));
+      a.child_b = static_cast<graph::NodeId>(rng.uniform_int(g.num_nodes()));
+      if (g.fanins(a.child_a).empty() || g.fanins(a.child_b).empty()) {
+        continue;
+      }
+      a.slot_a = static_cast<int>(rng.uniform_int(g.fanins(a.child_a).size()));
+      a.slot_b = static_cast<int>(rng.uniform_int(g.fanins(a.child_b).size()));
+      if (!apply_swap(g, a)) continue;
+      graph::observable_mask(g, mask, work);
+      const double reward = hybrid.score(g);
+      EXPECT_EQ(hybrid(g), reward) << "nodes " << nodes << " step " << step;
+      const auto [it, inserted] = by_mask.try_emplace(mask, Seen{reward, g});
+      if (inserted) continue;
+      EXPECT_EQ(reward, it->second.reward)
+          << "nodes " << nodes << " step " << step;
+      repeats += g != it->second.state;
+    }
+    // The walk must revisit masks on different graphs to test anything.
+    EXPECT_GT(repeats, 10) << "nodes " << nodes;
+    EXPECT_GT(by_mask.size(), 1u) << "nodes " << nodes;
+  }
+}
+
+TEST(Mcts, ObservabilityMemoDoesNotChangeSearchResults) {
+  // The memo only skips re-scoring a mask the call has already scored: the
+  // same reward pair without the declared key, scored on every state, must
+  // give the same search result, and the keyed search must score fewer
+  // states.
+  const Reward base = hybrid_reward_model(shared_discriminator());
+  std::size_t calls = 0;
+  const RewardFn single = [&](const Graph& g) {
+    ++calls;
+    return base(g);
+  };
+  const BatchRewardFn batch = [&](std::span<const Graph> gs) {
+    calls += gs.size();
+    std::vector<double> out;
+    for (const Graph& g : gs) out.push_back(base.score(g));
+    return out;
+  };
+  const Reward plain{single, batch};
+  const Reward keyed = Reward::observability_keyed(single, batch);
+  ASSERT_FALSE(plain.keyed_by_observability());
+  const Graph start = redundant_circuit(80, 380);
+  for (const int simulations : {40, 500}) {
+    const MctsConfig cfg{.simulations = simulations, .max_depth = 8,
+                         .actions_per_state = 8, .max_registers = 6,
+                         .passes = 2};
+    util::Rng rng_plain(simulations);
+    calls = 0;
+    const Graph unmemoized = optimize_registers(start, cfg, plain, rng_plain);
+    const std::size_t plain_calls = calls;
+    util::Rng rng_keyed(simulations);
+    calls = 0;
+    const Graph memoized = optimize_registers(start, cfg, keyed, rng_keyed);
+    EXPECT_EQ(unmemoized, memoized) << simulations << " simulations";
+    EXPECT_EQ(rng_plain.next(), rng_keyed.next())
+        << "the searches drew differently at " << simulations
+        << " simulations";
+    EXPECT_NE(memoized, start) << simulations << " simulations";
+    EXPECT_LT(calls, plain_calls / 2) << simulations << " simulations";
+  }
+}
+
 /// FNV-1a of the emitted Verilog, which spells out every node's
 /// attributes and fan-ins: equal digests mean equal search results.
 std::uint64_t verilog_digest(const Graph& g) {
@@ -329,35 +416,42 @@ TEST(Mcts, PinnedSearchTrajectory) {
   // fixed inputs and seeds. Any change to the search trajectory, the swap
   // semantics or the scoring arithmetic moves these digests, and with them
   // every generated dataset; re-record them only when that is the intent.
+  // The 500-simulation rows (the paper's budget) were recorded from the
+  // search before it memoized scores by observable mask.
   struct Case {
     std::size_t nodes;
     bool hybrid;
+    int simulations;
     std::uint64_t digest;
   };
   const Case cases[] = {
-      {60, false, 0xb1f1ede7f18ee2ceULL},
-      {60, true, 0xb1f1ede7f18ee2ceULL},
-      {80, false, 0x871b2384246776ffULL},
-      {80, true, 0x543f1299bd2cf7f3ULL},
-      {100, false, 0x02aa1d0a69c4a035ULL},
-      {100, true, 0x4ae7984735a589ddULL},
+      {60, false, 40, 0xb1f1ede7f18ee2ceULL},
+      {60, true, 40, 0xb1f1ede7f18ee2ceULL},
+      {80, false, 40, 0x871b2384246776ffULL},
+      {80, true, 40, 0x543f1299bd2cf7f3ULL},
+      {100, false, 40, 0x02aa1d0a69c4a035ULL},
+      {100, true, 40, 0x4ae7984735a589ddULL},
+      {60, true, 500, 0xb1f1ede7f18ee2ceULL},
+      {80, true, 500, 0x673ebe638a3ae32fULL},
+      {100, true, 500, 0xd6b7f34869586e77ULL},
   };
   const Reward observability = testsupport::observability_reward;
   const Reward hybrid = hybrid_reward_model(shared_discriminator());
-  const MctsConfig cfg{.simulations = 40, .max_depth = 8,
-                       .actions_per_state = 8, .max_registers = 6,
-                       .passes = 2};
   for (const Case& c : cases) {
+    const MctsConfig cfg{.simulations = c.simulations, .max_depth = 8,
+                         .actions_per_state = 8, .max_registers = 6,
+                         .passes = 2};
     const Graph start = redundant_circuit(c.nodes, 300 + c.nodes);
     util::Rng rng(7 + c.nodes);
     const Graph out =
         optimize_registers(start, cfg, c.hybrid ? hybrid : observability, rng);
     EXPECT_EQ(verilog_digest(out), c.digest)
-        << "nodes " << c.nodes << " hybrid " << c.hybrid << " digest 0x"
-        << std::hex << verilog_digest(out);
+        << "nodes " << c.nodes << " hybrid " << c.hybrid << " simulations "
+        << c.simulations << " digest 0x" << std::hex << verilog_digest(out);
     EXPECT_NE(out, start) << "the search must move for the pin to mean "
                              "anything: nodes "
-                          << c.nodes << " hybrid " << c.hybrid;
+                          << c.nodes << " hybrid " << c.hybrid
+                          << " simulations " << c.simulations;
   }
 }
 
