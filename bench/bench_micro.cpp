@@ -137,6 +137,8 @@ const diffusion::DiffusionModel& production_diffusion() {
 /// SynCircuitGenerator runs (one chain per design), 8 the lockstep shape
 /// of one packed denoiser forward for all 8 chains. Outputs are
 /// bit-identical across rows; items_per_second is designs per second.
+/// scored_share is the share of pair rows the decoder scored, out of the
+/// N(N-1) per step a full decode would score (SampleStats).
 void BM_DiffusionSample(benchmark::State& state) {
   const auto& model = production_diffusion();
   constexpr std::size_t kChains = 8;
@@ -149,17 +151,24 @@ void BM_DiffusionSample(benchmark::State& state) {
   }
   const auto seeds = util::split_streams(31, kChains);
   const auto chunk = static_cast<std::size_t>(state.range(0));
+  std::size_t scored = 0;
+  std::size_t rows = 0;  // what a full decode of every step would score
   for (auto _ : state) {
     util::for_each_chunk(kChains, chunk, [&](std::size_t lo, std::size_t n) {
       std::vector<util::Rng> rngs;
       rngs.reserve(n);
       for (std::size_t k = 0; k < n; ++k) rngs.emplace_back(seeds[lo + k]);
+      diffusion::SampleStats stats;
       benchmark::DoNotOptimize(
-          model.sample_batch({attrs.data() + lo, n}, rngs));
+          model.sample_batch({attrs.data() + lo, n}, rngs, &stats));
+      for (const std::size_t s : stats.scored) scored += s;
+      rows += stats.pairs * stats.scored.size();
     });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChains));
+  state.counters["scored_share"] =
+      rows ? static_cast<double>(scored) / static_cast<double>(rows) : 0.0;
   state.SetLabel(nn::active_simd_level_name());
 }
 BENCHMARK(BM_DiffusionSample)->Arg(1)->Arg(8);

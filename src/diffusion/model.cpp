@@ -192,7 +192,8 @@ DiffusionSample DiffusionModel::sample(const NodeAttrs& attrs,
 }
 
 std::vector<DiffusionSample> DiffusionModel::sample_batch(
-    std::span<const NodeAttrs> attrs, std::span<util::Rng> rngs) const {
+    std::span<const NodeAttrs> attrs, std::span<util::Rng> rngs,
+    SampleStats* stats) const {
   if (!trained()) throw std::logic_error("DiffusionModel::sample before train");
   if (attrs.size() != rngs.size()) {
     throw std::invalid_argument("sample_batch: attrs/rngs size mismatch");
@@ -201,23 +202,30 @@ std::vector<DiffusionSample> DiffusionModel::sample_batch(
   if (chains == 0) return {};
 
   // Per-chain state. A chain only ever touches its own rng, in the exact
-  // order of the scalar path: A_T first, then one posterior draw per pair
-  // per step — lockstep batching changes no draw. A_t is kept as what the
-  // denoiser reads: one bit per pair, and each node's parent list. Pairs
-  // run in (i, j) order, so appending each drawn edge's i to parents[j]
-  // lists parents in ascending order, as Denoiser::parent_lists does.
+  // order of the scalar path: A_T first, then one uniform per pair per
+  // step, in pair order — lockstep batching and lazy decoding change no
+  // draw. A_t is kept as what the denoiser reads: one bit per pair, and
+  // each node's parent list. The open_* buffers hold the pairs whose draw
+  // this step needs the logit for; they are reused across steps.
   struct Chain {
     Matrix features;
     std::vector<Pair> pairs;
     std::vector<std::uint8_t> state;  // A_t per pair
     std::vector<std::uint8_t> next;   // A_{t-1} per pair, being drawn
     std::vector<std::vector<std::size_t>> parents;  // parent lists of A_t
+    std::vector<std::size_t> open;          // pair index
+    std::vector<Pair> open_pairs;           // its endpoints
+    std::vector<std::uint8_t> open_state;   // its A_t bit
+    std::vector<double> open_uniform;       // its draw
     Matrix edge_prob;
 
-    /// Records the draw for pair k into `bits`.
-    void draw(std::size_t k, bool edge, std::vector<std::uint8_t>& bits) {
-      bits[k] = edge ? 1 : 0;
-      if (edge) parents[pairs[k].dst].push_back(pairs[k].src);
+    /// Refills parents from `state`. Pairs run in (i, j) order, so each
+    /// list comes out ascending, as Denoiser::parent_lists builds it.
+    void rebuild_parents() {
+      for (auto& p : parents) p.clear();
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (state[k] != 0) parents[pairs[k].dst].push_back(pairs[k].src);
+      }
     }
   };
   std::vector<Chain> chain(chains);
@@ -237,36 +245,78 @@ std::vector<DiffusionSample> DiffusionModel::sample_batch(
     // A_T ~ stationary noise.
     ch.state.resize(ch.pairs.size());
     ch.next.resize(ch.pairs.size());
-    ch.parents.resize(n);
     for (std::size_t k = 0; k < ch.pairs.size(); ++k) {
-      ch.draw(k, rngs[c].bernoulli(schedule_->noise_marginal()), ch.state);
+      ch.state[k] = rngs[c].bernoulli(schedule_->noise_marginal()) ? 1 : 0;
     }
+    ch.parents.resize(n);
+    ch.rebuild_parents();
+    ch.open.reserve(ch.pairs.size());
+    ch.open_pairs.reserve(ch.pairs.size());
+    ch.open_state.reserve(ch.pairs.size());
+    ch.open_uniform.reserve(ch.pairs.size());
     ch.edge_prob = Matrix(n, n);
+  }
+  if (stats != nullptr) {
+    stats->pairs = 0;
+    for (const Chain& ch : chain) stats->pairs += ch.pairs.size();
+    stats->scored.assign(static_cast<std::size_t>(schedule_->steps()), 0);
   }
 
   std::vector<GraphStepInput> inputs(chains);
   for (std::size_t c = 0; c < chains; ++c) {
-    inputs[c] = {&chain[c].features, &chain[c].parents, &chain[c].pairs,
-                 &chain[c].state};
+    inputs[c] = {&chain[c].features, &chain[c].parents, &chain[c].open_pairs,
+                 &chain[c].open_state};
   }
   for (int t = schedule_->steps(); t >= 1; --t) {
-    // One packed denoiser forward for all K chains at this step.
+    // bernoulli(p) is uniform() < p, and p lies in range[A_t]: a uniform
+    // below lo draws an edge and one at or above hi draws none, whatever
+    // the logit. The last step scores every pair, since Phase 2 reads all
+    // of P_E^(0) (its range covers every uniform anyway).
+    const Schedule::PosteriorRange range[2] = {
+        schedule_->posterior_range(t, false),
+        schedule_->posterior_range(t, true)};
+    const bool score_all = t == 1;
+    for (std::size_t c = 0; c < chains; ++c) {
+      Chain& ch = chain[c];
+      ch.open.clear();
+      ch.open_pairs.clear();
+      ch.open_state.clear();
+      ch.open_uniform.clear();
+      for (std::size_t k = 0; k < ch.pairs.size(); ++k) {
+        const double u = rngs[c].uniform();
+        const Schedule::PosteriorRange& r = range[ch.state[k]];
+        if (!score_all && (u < r.lo || u >= r.hi)) {
+          ch.next[k] = u < r.lo ? 1 : 0;
+          continue;
+        }
+        ch.open.push_back(k);
+        ch.open_pairs.push_back(ch.pairs[k]);
+        ch.open_state.push_back(ch.state[k]);
+        ch.open_uniform.push_back(u);
+      }
+      if (stats != nullptr) {
+        stats->scored[static_cast<std::size_t>(t - 1)] += ch.open.size();
+      }
+    }
+    // One packed denoiser forward for the open pairs of all K chains. The
+    // encoder reads all of A_t; the decoder head is row-independent, so
+    // each open pair gets the logit a full decode would give it.
     const std::vector<Matrix> logits = denoiser_.predict_batch(inputs, t);
     for (std::size_t c = 0; c < chains; ++c) {
       Chain& ch = chain[c];
-      for (auto& p : ch.parents) p.clear();  // refilled with A_{t-1}
-      for (std::size_t k = 0; k < ch.pairs.size(); ++k) {
+      for (std::size_t o = 0; o < ch.open.size(); ++o) {
         const double p0_hat =
-            1.0 / (1.0 + std::exp(-static_cast<double>(logits[c].at(k, 0))));
+            1.0 / (1.0 + std::exp(-static_cast<double>(logits[c].at(o, 0))));
         const double p_prev =
-            schedule_->posterior(t, ch.state[k] != 0, p0_hat);
-        ch.draw(k, rngs[c].bernoulli(p_prev), ch.next);
+            schedule_->posterior(t, ch.open_state[o] != 0, p0_hat);
+        ch.next[ch.open[o]] = ch.open_uniform[o] < p_prev ? 1 : 0;
         if (t == 1) {
-          ch.edge_prob.at(ch.pairs[k].src, ch.pairs[k].dst) =
+          ch.edge_prob.at(ch.open_pairs[o].src, ch.open_pairs[o].dst) =
               static_cast<float>(p_prev);
         }
       }
       ch.state.swap(ch.next);
+      ch.rebuild_parents();
     }
   }
 

@@ -4,7 +4,9 @@
 // needs: train() on a corpus of real circuit graphs and sample() to draw
 // a new adjacency matrix conditioned on user-specified node attributes,
 // returning both G_ini and the edge-probability matrix P_E^(0) that
-// Phase 2 consumes.
+// Phase 2 consumes. sample_batch() is the production sampler: it draws
+// the same bits as sample() but scores a pair only when its uniform
+// falls inside the step's posterior range (Schedule::posterior_range).
 #pragma once
 
 #include <cstddef>
@@ -39,6 +41,12 @@ struct DiffusionSample {
   nn::Matrix edge_prob;  // N x N, edge_prob(i,j) = P(edge i -> j)
 };
 
+/// Work done by one sample_batch() call, summed over its chains.
+struct SampleStats {
+  std::size_t pairs = 0;            // pairs drawn per step
+  std::vector<std::size_t> scored;  // scored[t - 1]: pair rows step t decoded
+};
+
 class DiffusionModel {
  public:
   explicit DiffusionModel(DiffusionConfig config);
@@ -53,8 +61,9 @@ class DiffusionModel {
   TrainStats train(const std::vector<graph::Graph>& corpus);
 
   /// Reverse diffusion conditioned on the node attributes — the reference
-  /// scalar path (one tensor-op denoiser forward per step). sample_batch
-  /// on one chain is bit-identical to this (asserted in test_diffusion);
+  /// scalar path (one tensor-op denoiser forward per step, every pair
+  /// scored). sample_batch on one chain is bit-identical to this (asserted
+  /// in test_diffusion, and at the production config in test_core);
   /// keeping the implementations separate means the equivalence tests
   /// compare two genuinely different code paths.
   [[nodiscard]] DiffusionSample sample(const graph::NodeAttrs& attrs,
@@ -63,13 +72,20 @@ class DiffusionModel {
   /// Advances K reverse-diffusion chains in lockstep: each denoising step
   /// runs ONE packed multi-graph denoiser forward (Denoiser::predict_batch)
   /// instead of K independent ones. Chain k consumes only rngs[k], in
-  /// exactly the draw order of the scalar path, and the packed forward is
-  /// bitwise row-equal to the per-graph forward — so result[k] is
-  /// bit-identical to sample(attrs[k], rngs[k]) run sequentially, at any
-  /// batch size. attrs and rngs must have equal length; chains may have
-  /// different node counts.
+  /// exactly the draw order of the scalar path: one uniform per pair per
+  /// step, in pair order. Each step draws its uniforms first; a pair whose
+  /// uniform falls outside Schedule::posterior_range is settled without a
+  /// logit, and only the rest are decoded. The packed forward is bitwise
+  /// row-equal to the per-graph forward, so result[k] is bit-identical to
+  /// sample(attrs[k], rngs[k]) run sequentially, at any batch size, for
+  /// finite logits (a NaN logit draws no edge in sample(); here its pair
+  /// may be settled by its uniform). The last step decodes every pair:
+  /// Phase 2 reads all of P_E^(0). attrs and rngs must have equal length;
+  /// chains may have different node counts. `stats`, when given, receives
+  /// the pairs decoded per step.
   [[nodiscard]] std::vector<DiffusionSample> sample_batch(
-      std::span<const graph::NodeAttrs> attrs, std::span<util::Rng> rngs) const;
+      std::span<const graph::NodeAttrs> attrs, std::span<util::Rng> rngs,
+      SampleStats* stats = nullptr) const;
 
   [[nodiscard]] const Schedule& schedule() const { return *schedule_; }
   [[nodiscard]] const DiffusionConfig& config() const { return config_; }

@@ -81,4 +81,12 @@ double Schedule::posterior(int t, bool at, double p0_hat) const {
   return std::clamp(result, 0.0, 1.0);
 }
 
+Schedule::PosteriorRange Schedule::posterior_range(int t, bool at) const {
+  constexpr double kSlack = 1e-12;
+  const double r0 = ratio(t, at, false);
+  const double r1 = ratio(t, at, true);
+  return {std::min(r0, r1) * (1.0 - kSlack),
+          std::max(r0, r1) * (1.0 + kSlack)};
+}
+
 }  // namespace syn::diffusion

@@ -7,7 +7,9 @@
 // (estimated from the training corpus edge density). alpha-bar follows the
 // cosine schedule of Nichol & Dhariwal. The posterior used in reverse
 // sampling is the standard D3PM x0-parameterized posterior specialized to
-// two states, exposed here in closed form.
+// two states, exposed here in closed form, together with the interval
+// that posterior spans over every clean-bit prediction: reverse sampling
+// reads the denoiser only for draws that interval leaves open.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +41,20 @@ class Schedule {
   /// is clamped to [0, 1]. Reverse sampling calls this once per pair per
   /// step, so the per-(t, at, x0) ratios are precomputed.
   [[nodiscard]] double posterior(int t, bool at, double p0_hat) const;
+
+  /// Bounds on posterior(t, at, p0_hat) over every p0_hat in [0, 1].
+  struct PosteriorRange {
+    double lo;
+    double hi;
+  };
+  /// The posterior is a convex combination of the two ratios
+  /// q(A_{t-1} = 1 | A_t = at, A_0 = x0), so it lies between them; the
+  /// bounds are widened by a relative 1e-12, which dominates the few-ulp
+  /// rounding of posterior()'s products, sum and clamp. A uniform below
+  /// lo draws an edge and one at or above hi draws none, whatever the
+  /// denoiser predicts. At t = 1 the ratios are 0 and 1 (A_0 = x0), so
+  /// the range covers every uniform.
+  [[nodiscard]] PosteriorRange posterior_range(int t, bool at) const;
 
  private:
   /// q(A_t = at | A_{t-1} = s) single-step transition probability.

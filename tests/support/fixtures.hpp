@@ -14,6 +14,7 @@
 #include "graph/node_type.hpp"
 #include "nn/matrix.hpp"
 #include "rtl/generators.hpp"
+#include "rtl/verilog.hpp"
 #include "util/rng.hpp"
 
 namespace syn::testsupport {
@@ -44,6 +45,16 @@ inline double observability_reward(const graph::Graph& g) {
     }
   }
   return total ? static_cast<double>(seen) / static_cast<double>(total) : 0.0;
+}
+
+/// FNV-1a of the emitted Verilog, which spells out every node's
+/// attributes and fan-ins: equal digests mean equal designs.
+inline std::uint64_t verilog_digest(const graph::Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : rtl::to_verilog(g)) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
 }
 
 }  // namespace syn::testsupport

@@ -2,7 +2,10 @@
 // three-phase SynCircuit pipeline.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +20,8 @@
 #include "rtl/generators.hpp"
 #include "server/daemon.hpp"
 #include "synth/synthesizer.hpp"
+#include "tests/support/fixtures.hpp"
+#include "util/thread_pool.hpp"
 
 namespace syn::core {
 namespace {
@@ -193,6 +198,21 @@ class PipelineTest : public ::testing::Test {
   static std::vector<Graph> small_corpus() {
     return {rtl::make_counter(6), rtl::make_fifo_ctrl(3), rtl::make_fsm(2, 2)};
   }
+  /// The production model, fitted as the daemon fits it
+  /// (server::default_backend_config on the RTL corpus). Fitted once per
+  /// test process; generate() reads only the rng it is handed, so the
+  /// tests that share it cannot see each other.
+  static SynCircuitGenerator& production() {
+    static const std::unique_ptr<SynCircuitGenerator> gen = [] {
+      const BackendConfig production = server::default_backend_config();
+      SynCircuitConfig cfg = production.syncircuit;
+      cfg.seed = production.seed;
+      auto fitted = std::make_unique<SynCircuitGenerator>(cfg);
+      fitted->fit(rtl::corpus_graphs({.seed = 1}));
+      return fitted;
+    }();
+    return *gen;
+  }
 };
 
 TEST_F(PipelineTest, FullPipelineProducesValidCircuit) {
@@ -242,15 +262,12 @@ TEST_F(PipelineTest, OptimizationDoesNotReduceScpr) {
 }
 
 TEST_F(PipelineTest, GenerateMatchesPhaseComposition) {
-  // The production model, fitted as the daemon fits it. generate() draws
-  // Phase 1 through DiffusionModel::sample_batch; the reference composes
-  // the pipeline from public parts with Phase 1 on the tensor reference
-  // path, DiffusionModel::sample.
-  const BackendConfig production = server::default_backend_config();
-  SynCircuitConfig cfg = production.syncircuit;
-  cfg.seed = production.seed;
-  SynCircuitGenerator gen(cfg);
-  gen.fit(rtl::corpus_graphs({.seed = 1}));
+  // generate() draws Phase 1 through DiffusionModel::sample_batch; the
+  // reference composes the pipeline from public parts with Phase 1 on the
+  // tensor reference path, DiffusionModel::sample.
+  SynCircuitGenerator& gen = production();
+  const mcts::MctsConfig search =
+      server::default_backend_config().syncircuit.mcts;
   const mcts::Reward reward = mcts::hybrid_reward_model(gen.discriminator());
 
   util::Rng attr_rng(12);
@@ -266,12 +283,87 @@ TEST_F(PipelineTest, GenerateMatchesPhaseComposition) {
     const Graph gval = repair_to_valid(attrs, sample.adjacency,
                                        sample.edge_prob, ref_rng);
     const Graph expected =
-        mcts::optimize_registers(gval, cfg.mcts, reward, ref_rng);
+        mcts::optimize_registers(gval, search, reward, ref_rng);
 
     EXPECT_EQ(generated, expected) << "design " << i;
     EXPECT_EQ(generated.name(), "syncircuit");
     // Both consumed the same draws, so the streams continue in step.
     EXPECT_EQ(rng.next(), ref_rng.next()) << "design " << i;
+  }
+}
+
+TEST_F(PipelineTest, LazySampleBatchMatchesSampleAtProductionConfig) {
+  // At the production schedule most reverse draws are settled by their
+  // uniform alone, so sample_batch decodes only some pairs; the toy model
+  // of test_diffusion never sees these ranges. Whatever the chain count,
+  // it must draw sample()'s adjacency and every P_E^(0) float bit for bit,
+  // and skip pairs at every step but the last, which decodes them all.
+  const diffusion::DiffusionModel& model = production().diffusion_model();
+  const auto steps = static_cast<std::size_t>(model.schedule().steps());
+  constexpr std::size_t kChains = 8;
+  util::Rng attr_rng(31);
+  std::vector<NodeAttrs> attrs;
+  for (std::size_t i = 0; i < kChains; ++i) {
+    attrs.push_back(production().attr_sampler().sample(
+        server::default_attr_nodes(i), attr_rng));
+  }
+  const auto seeds = util::split_streams(91, kChains);
+  std::vector<diffusion::DiffusionSample> expected;
+  for (std::size_t c = 0; c < kChains; ++c) {
+    util::Rng rng(seeds[c]);
+    expected.push_back(model.sample(attrs[c], rng));
+  }
+
+  for (const std::size_t k : {std::size_t{1}, kChains}) {
+    for (std::size_t lo = 0; lo < kChains; lo += k) {
+      std::vector<util::Rng> rngs;
+      for (std::size_t c = lo; c < lo + k; ++c) rngs.emplace_back(seeds[c]);
+      diffusion::SampleStats stats;
+      const auto got =
+          model.sample_batch({attrs.data() + lo, k}, rngs, &stats);
+      ASSERT_EQ(got.size(), k);
+      for (std::size_t c = 0; c < k; ++c) {
+        const diffusion::DiffusionSample& want = expected[lo + c];
+        EXPECT_EQ(got[c].adjacency, want.adjacency)
+            << "K=" << k << " chain " << lo + c;
+        const auto& got_prob = got[c].edge_prob.data();
+        const auto& want_prob = want.edge_prob.data();
+        ASSERT_EQ(got_prob.size(), want_prob.size());
+        std::size_t differing = 0;
+        for (std::size_t e = 0; e < want_prob.size(); ++e) {
+          differing += std::bit_cast<std::uint32_t>(got_prob[e]) !=
+                       std::bit_cast<std::uint32_t>(want_prob[e]);
+        }
+        EXPECT_EQ(differing, 0u) << "K=" << k << " chain " << lo + c;
+      }
+      ASSERT_EQ(stats.scored.size(), steps);
+      EXPECT_EQ(stats.scored[0], stats.pairs) << "K=" << k << " from " << lo;
+      for (std::size_t t = 2; t <= steps; ++t) {
+        EXPECT_LT(stats.scored[t - 1], stats.pairs)
+            << "K=" << k << " from " << lo << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST_F(PipelineTest, PinnedProductionDesigns) {
+  // generate() at the production config, all three phases. Any change that
+  // moves a generated design moves these digests, and with them every
+  // generated dataset; re-record them only when that is the intent. They
+  // pin Phase 1 too: the sampler identity tests compare sample_batch with
+  // sample(), so a change that moved both alike would pass them.
+  const std::uint64_t digests[] = {0x790f8322cb09c5b4ULL, 0xcf4fb7a82d12153bULL,
+                                   0xc1be8394d914c966ULL};
+  SynCircuitGenerator& gen = production();
+  util::Rng attr_rng(13);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::size_t nodes = server::default_attr_nodes(i);
+    const NodeAttrs attrs = gen.attr_sampler().sample(nodes, attr_rng);
+    util::Rng rng(50 + i);
+    const Graph g = gen.generate(attrs, rng);
+    EXPECT_EQ(testsupport::verilog_digest(g), digests[i])
+        << "nodes " << nodes << " digest 0x" << std::hex
+        << testsupport::verilog_digest(g);
   }
 }
 

@@ -124,6 +124,48 @@ TEST(Schedule, PosteriorMatchesClosedForm) {
   }
 }
 
+TEST(Schedule, PosteriorRangeContainsEveryPosterior) {
+  // Reverse sampling settles a pair without its logit when the pair's
+  // uniform falls outside posterior_range(t, at), so every posterior a
+  // logit can produce must lie inside that range, rounding included.
+  std::vector<double> p0_hats{0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              1e-300,
+                              std::nextafter(0.5, 0.0),
+                              0.5,
+                              std::nextafter(0.5, 1.0),
+                              1.0 - std::numeric_limits<double>::epsilon(),
+                              1.0};
+  util::Rng rng(26);
+  for (int i = 0; i < 10000; ++i) p0_hats.push_back(rng.uniform());
+  for (const int steps : {1, 6, 9}) {
+    for (const double marginal : {1e-4, 0.02, 0.3}) {
+      const Schedule s(steps, marginal);
+      for (int t = 1; t <= steps; ++t) {
+        for (const bool at : {false, true}) {
+          const Schedule::PosteriorRange range = s.posterior_range(t, at);
+          for (const double p0_hat : p0_hats) {
+            const double q = s.posterior(t, at, p0_hat);
+            ASSERT_LE(range.lo, q) << "steps " << steps << " marginal "
+                                   << marginal << " t " << t << " at " << at
+                                   << " p0_hat " << p0_hat;
+            ASSERT_GE(range.hi, q) << "steps " << steps << " marginal "
+                                   << marginal << " t " << t << " at " << at
+                                   << " p0_hat " << p0_hat;
+          }
+        }
+      }
+      // t = 1 recovers A_0: no uniform in [0, 1) is settled, so the last
+      // step decodes every pair and P_E^(0) is complete.
+      for (const bool at : {false, true}) {
+        const Schedule::PosteriorRange range = s.posterior_range(1, at);
+        EXPECT_LE(range.lo, 0.0) << "steps " << steps << " at " << at;
+        EXPECT_GE(range.hi, 1.0) << "steps " << steps << " at " << at;
+      }
+    }
+  }
+}
+
 TEST(Schedule, RejectsBadParameters) {
   EXPECT_THROW(Schedule(0, 0.1), std::invalid_argument);
   EXPECT_THROW(Schedule(5, 0.0), std::invalid_argument);
@@ -277,6 +319,41 @@ TEST(DiffusionModel, SampleBatchBitIdenticalToSequentialScalar) {
       }
     }
   }
+}
+
+TEST(DiffusionModel, SampleBatchStepWithNoPairToDecode) {
+  // A 2-node chain often settles both of its pairs from their uniforms,
+  // so a step's packed forward gets no pair to decode. The draws must
+  // still match sample(), and the stats must show such a step happened.
+  DiffusionConfig cfg;
+  cfg.steps = 4;
+  cfg.denoiser = {.mpnn_layers = 2, .hidden = 8, .time_dim = 8};
+  cfg.epochs = 2;
+  DiffusionModel model(cfg);
+  model.train({rtl::make_counter(4)});
+  graph::NodeAttrs attrs;
+  attrs.types = {graph::NodeType::kInput, graph::NodeType::kOutput};
+  attrs.widths = {4, 4};
+  bool saw_empty_step = false;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    util::Rng batch_rng(seed);
+    SampleStats stats;
+    const auto batched =
+        model.sample_batch({&attrs, 1}, {&batch_rng, 1}, &stats);
+    util::Rng rng(seed);
+    const auto scalar = model.sample(attrs, rng);
+    EXPECT_EQ(batched[0].adjacency, scalar.adjacency) << "seed " << seed;
+    EXPECT_EQ(batched[0].edge_prob.data(), scalar.edge_prob.data())
+        << "seed " << seed;
+    EXPECT_EQ(batch_rng.next(), rng.next()) << "seed " << seed;
+    ASSERT_EQ(stats.scored.size(), 4u);
+    EXPECT_EQ(stats.pairs, 2u);
+    EXPECT_EQ(stats.scored[0], 2u) << "seed " << seed;
+    for (const std::size_t scored : stats.scored) {
+      saw_empty_step = saw_empty_step || scored == 0;
+    }
+  }
+  EXPECT_TRUE(saw_empty_step);
 }
 
 TEST(DiffusionModel, SampleBatchRejectsMismatchedSpans) {

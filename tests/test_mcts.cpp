@@ -14,7 +14,6 @@
 #include "mcts/discriminator.hpp"
 #include "mcts/mcts.hpp"
 #include "rtl/generators.hpp"
-#include "rtl/verilog.hpp"
 #include "synth/synthesizer.hpp"
 #include "tests/support/fixtures.hpp"
 
@@ -24,6 +23,7 @@ namespace {
 using graph::Graph;
 using graph::NodeType;
 using testsupport::redundant_circuit;
+using testsupport::verilog_digest;
 
 TEST(SwapAction, PreservesDegreesAndValidity) {
   Graph g = redundant_circuit(30, 41);
@@ -399,16 +399,6 @@ TEST(Mcts, ObservabilityMemoDoesNotChangeSearchResults) {
     EXPECT_NE(memoized, start) << simulations << " simulations";
     EXPECT_LT(calls, plain_calls / 2) << simulations << " simulations";
   }
-}
-
-/// FNV-1a of the emitted Verilog, which spells out every node's
-/// attributes and fan-ins: equal digests mean equal search results.
-std::uint64_t verilog_digest(const Graph& g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : rtl::to_verilog(g)) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  return h;
 }
 
 TEST(Mcts, PinnedSearchTrajectory) {
