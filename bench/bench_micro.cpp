@@ -131,14 +131,12 @@ const diffusion::DiffusionModel& production_diffusion() {
 }
 
 /// Phase 1 at the production config: 8 reverse-diffusion chains per
-/// iteration, attributes drawn as production draws them (AttrSampler over
-/// the corpus at default_attr_nodes(i): 60/80/100 nodes). Arg is the
-/// number of chains per DiffusionModel::sample_batch call: 1 is what
-/// SynCircuitGenerator runs (one chain per design), 8 the lockstep shape
-/// of one packed denoiser forward for all 8 chains. Outputs are
-/// bit-identical across rows; items_per_second is designs per second.
-/// scored_share is the share of pair rows the decoder scored, out of the
-/// N(N-1) per step a full decode would score (SampleStats).
+/// iteration, one DiffusionModel::sample_batch call per chain as
+/// SynCircuitGenerator runs it (one chain per design), with attributes
+/// drawn as production draws them (AttrSampler over the corpus at
+/// default_attr_nodes(i): 60/80/100 nodes). items_per_second is designs
+/// per second. scored_share is the share of pair rows the decoder scored,
+/// out of the N(N-1) per step a full decode would score (SampleStats).
 void BM_DiffusionSample(benchmark::State& state) {
   const auto& model = production_diffusion();
   constexpr std::size_t kChains = 8;
@@ -150,20 +148,17 @@ void BM_DiffusionSample(benchmark::State& state) {
     attrs.push_back(sampler.sample(server::default_attr_nodes(i), attr_rng));
   }
   const auto seeds = util::split_streams(31, kChains);
-  const auto chunk = static_cast<std::size_t>(state.range(0));
   std::size_t scored = 0;
   std::size_t rows = 0;  // what a full decode of every step would score
   for (auto _ : state) {
-    util::for_each_chunk(kChains, chunk, [&](std::size_t lo, std::size_t n) {
-      std::vector<util::Rng> rngs;
-      rngs.reserve(n);
-      for (std::size_t k = 0; k < n; ++k) rngs.emplace_back(seeds[lo + k]);
+    for (std::size_t c = 0; c < kChains; ++c) {
+      util::Rng rng(seeds[c]);
       diffusion::SampleStats stats;
       benchmark::DoNotOptimize(
-          model.sample_batch({attrs.data() + lo, n}, rngs, &stats));
+          model.sample_batch({&attrs[c], 1}, {&rng, 1}, &stats));
       for (const std::size_t s : stats.scored) scored += s;
       rows += stats.pairs * stats.scored.size();
-    });
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChains));
@@ -171,7 +166,7 @@ void BM_DiffusionSample(benchmark::State& state) {
       rows ? static_cast<double>(scored) / static_cast<double>(rows) : 0.0;
   state.SetLabel(nn::active_simd_level_name());
 }
-BENCHMARK(BM_DiffusionSample)->Arg(1)->Arg(8);
+BENCHMARK(BM_DiffusionSample);
 
 void BM_Phase2Repair(benchmark::State& state) {
   util::Rng rng(2);

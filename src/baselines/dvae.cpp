@@ -135,10 +135,9 @@ Graph Dvae::generate(const NodeAttrs& attrs, util::Rng& rng) {
         window_step_input(prev, ordered.types[k], ordered.widths[k], w);
     std::copy(x.data().begin(), x.data().end(), xz.begin());
     arena.reset();
-    const float* h_next = nn::gru_forward_rows(packed_decoder_, arena,
-                                               xz.data(), h.data(), 1);
-    const float* logits =
-        nn::mlp_forward_rows(packed_edge_head_, arena, h_next, 1);
+    const float* h_next =
+        packed_decoder_.forward_rows(arena, xz.data(), h.data(), 1);
+    const float* logits = packed_edge_head_.forward_rows(arena, h_next, 1);
     std::copy(h_next, h_next + config_.hidden, h.begin());
     std::vector<float> sampled(w, 0.0f);
     for (std::size_t d = 0; d < w && d < k; ++d) {

@@ -130,7 +130,7 @@ Graph GraphMaker::generate(const NodeAttrs& attrs, util::Rng& rng) {
   const std::size_t hidden = config_.hidden;
   nn::InferenceArena arena;  // per-call: generate_batch shards concurrently
   const float* emb =
-      nn::mlp_forward_rows(packed_embed_, arena, features.data().data(), n);
+      packed_embed_.forward_rows(arena, features.data().data(), n);
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   pairs.reserve(n * (n - 1) / 2);
@@ -161,8 +161,7 @@ Graph GraphMaker::generate(const NodeAttrs& attrs, util::Rng& rng) {
         row[hidden + c] = ea[c] + eb[c];
       }
     }
-    const float* logits =
-        nn::mlp_forward_rows(packed_scorer_, arena, rows, k1 - k0);
+    const float* logits = packed_scorer_.forward_rows(arena, rows, k1 - k0);
     for (std::size_t k = k0; k < k1; ++k) {
       const double p =
           1.0 / (1.0 + std::exp(-static_cast<double>(logits[k - k0])));

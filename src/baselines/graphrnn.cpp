@@ -106,9 +106,9 @@ Graph GraphRnn::generate(const NodeAttrs& attrs, util::Rng& rng) {
     const Matrix x =
         window_step_input(prev, ordered.types[k], ordered.widths[k], w);
     arena.reset();
-    const float* h_next = nn::gru_forward_rows(packed_cell_, arena,
-                                               x.data().data(), h.data(), 1);
-    const float* logits = nn::mlp_forward_rows(packed_head_, arena, h_next, 1);
+    const float* h_next =
+        packed_cell_.forward_rows(arena, x.data().data(), h.data(), 1);
+    const float* logits = packed_head_.forward_rows(arena, h_next, 1);
     std::copy(h_next, h_next + config_.hidden, h.begin());
     std::vector<float> sampled(w, 0.0f);
     for (std::size_t d = 0; d < w && d < k; ++d) {

@@ -121,7 +121,7 @@ void SparseDigress::fit(const std::vector<Graph>& corpus) {
     }
   }
   // Training mutated the weight tensors; drop any packed snapshot so
-  // generate()'s predict_batch re-packs the fitted values.
+  // generate()'s predict() re-packs the fitted values.
   denoiser_.invalidate_packed();
   fitted_ = true;
 }
@@ -150,12 +150,11 @@ Graph SparseDigress::generate(const NodeAttrs& attrs, util::Rng& rng) {
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       state[k] = ut.at(pairs[k].src, pairs[k].dst) ? 1 : 0;
     }
-    // Fused inference path: a batch-of-one predict_batch runs the packed
-    // no-grad denoiser kernels — bitwise equal to encode() + decode() on
-    // the tensor path, minus all per-op temporaries.
-    const auto parents = Denoiser::parent_lists(ut);
-    const diffusion::GraphStepInput item{&features, &parents, &pairs, &state};
-    const Matrix logits = denoiser_.predict_batch({&item, 1}, t)[0];
+    // Fused inference path: predict() runs the packed no-grad denoiser
+    // kernels — bitwise equal to encode() + decode() on the tensor path,
+    // minus all per-op temporaries.
+    const Matrix logits = denoiser_.predict(
+        features, Denoiser::parent_lists(ut), pairs, state, t);
     AdjacencyMatrix next(n);
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       const auto i = pairs[k].src;

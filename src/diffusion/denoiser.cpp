@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -67,9 +66,7 @@ namespace {
 constexpr std::size_t kDecodeTileRows = 128;
 
 /// Attribute features augmented with the noisy graph's normalized in- and
-/// out-degree — cheap structural summaries of A_t. Degrees are normalized
-/// by this graph's own node count, so per-graph augmentation is what the
-/// packed multi-graph path stacks.
+/// out-degree — cheap structural summaries of A_t.
 Matrix augment_features(const Matrix& node_features,
                         const std::vector<std::vector<std::size_t>>& parents) {
   const std::size_t n = node_features.rows();
@@ -92,11 +89,11 @@ Matrix augment_features(const Matrix& node_features,
 
 }  // namespace
 
-Tensor Denoiser::encode_augmented(
-    const Matrix& augmented,
+Tensor Denoiser::encode(
+    const Matrix& node_features,
     const std::vector<std::vector<std::size_t>>& parents, int t) const {
-  const std::size_t n = augmented.rows();
-  const Tensor x(augmented);
+  const std::size_t n = node_features.rows();
+  const Tensor x(augment_features(node_features, parents));
   const Tensor t_emb =
       time_init_.forward(Tensor(nn::timestep_encoding(t, config_.time_dim)));
   // Initial state: attribute embedding + broadcast time embedding.
@@ -107,13 +104,6 @@ Tensor Denoiser::encode_augmented(
                          wm_[static_cast<std::size_t>(l)].forward(msg)));
   }
   return h;
-}
-
-Tensor Denoiser::encode(
-    const Matrix& node_features,
-    const std::vector<std::vector<std::size_t>>& parents, int t) const {
-  return encode_augmented(augment_features(node_features, parents), parents,
-                          t);
 }
 
 Tensor Denoiser::decode(const Tensor& h, const std::vector<Pair>& pairs,
@@ -171,41 +161,18 @@ void Denoiser::invalidate_packed() {
   packed_.reset();
 }
 
-std::vector<Matrix> Denoiser::predict_batch(
-    std::span<const GraphStepInput> batch, int t) const {
-  if (batch.empty()) return {};
+Matrix Denoiser::predict(const Matrix& node_features,
+                         const std::vector<std::vector<std::size_t>>& parents,
+                         const std::vector<Pair>& pairs,
+                         const std::vector<std::uint8_t>& current_state,
+                         int t) const {
   // Sampling never backpropagates: drop autograd bookkeeping for the whole
-  // packed forward (values are unaffected).
+  // forward (values are unaffected).
   const nn::NoGradGuard no_grad;
+  const Matrix augmented = augment_features(node_features, parents);
+  const std::size_t n = augmented.rows();
 
-  std::size_t total_nodes = 0;
-  std::size_t total_pairs = 0;
-  for (const GraphStepInput& item : batch) {
-    total_nodes += item.features->rows();
-    total_pairs += item.pairs->size();
-  }
-
-  // Pack: graph k's nodes occupy the row block [base_k, base_k + N_k);
-  // parent lists shift into that block (the decoder shifts pair
-  // endpoints the same way as it reads them).
-  Matrix packed(total_nodes, feature_dim() + 2);
-  std::vector<std::vector<std::size_t>> parents(total_nodes);
-  std::size_t base = 0;
-  for (const GraphStepInput& item : batch) {
-    const Matrix augmented = augment_features(*item.features, *item.parents);
-    const std::size_t n = augmented.rows();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < augmented.cols(); ++j) {
-        packed.at(base + i, j) = augmented.at(i, j);
-      }
-      auto& plist = parents[base + i];
-      plist.reserve((*item.parents)[i].size());
-      for (std::size_t p : (*item.parents)[i]) plist.push_back(base + p);
-    }
-    base += n;
-  }
-
-  // One inference code path: the packed rows run through the shared
+  // One inference code path: the node rows run through the shared
   // PackedMlp/PackedLinear kernels (nn/inference.hpp) on the dispatched
   // SIMD tier — the same engine every other model uses. Weights are
   // packed lazily and cached until invalidate_packed().
@@ -217,23 +184,23 @@ std::vector<Matrix> Denoiser::predict_batch(
   arena.reset();
 
   // Encoder. The 1-row time embedding goes through the tensor path (tiny,
-  // and its arithmetic stays trivially identical to encode_augmented's).
+  // and its arithmetic stays trivially identical to encode()'s).
   const Matrix t_emb =
       time_init_.forward(Tensor(nn::timestep_encoding(t, config_.time_dim)))
           .value();  // 1 x hidden
   // init_ MLP, then the broadcast time embedding folds in as a second
   // "bias" row with the outer ReLU fused: relu((init(x) + b1) + t_emb) —
-  // encode_augmented's exact association.
-  float* h = pw->init.forward_rows(arena, packed.data().data(), total_nodes);
-  simd.bias_relu_rows(h, t_emb.data().data(), total_nodes, hidden);
+  // encode()'s exact association.
+  float* h = pw->init.forward_rows(arena, augmented.data().data(), n);
+  simd.bias_relu_rows(h, t_emb.data().data(), n, hidden);
 
   // Message-passing layers: mean-aggregate parents (axpy accumulates
   // value * inv per term in group order — exactly nn::aggregate_rows),
   // two affine maps, then the fused two-operand bias + ReLU epilogue.
-  float* msg = arena.alloc(total_nodes * hidden);
+  float* msg = arena.alloc(n * hidden);
   for (int l = 0; l < config_.mpnn_layers; ++l) {
-    std::fill(msg, msg + total_nodes * hidden, 0.0f);
-    for (std::size_t g = 0; g < total_nodes; ++g) {
+    std::fill(msg, msg + n * hidden, 0.0f);
+    for (std::size_t g = 0; g < n; ++g) {
       if (parents[g].empty()) continue;
       const float inv = 1.0f / static_cast<float>(parents[g].size());
       float* mrow = msg + g * hidden;
@@ -244,12 +211,12 @@ std::vector<Matrix> Denoiser::predict_batch(
     const auto& lh = pw->wh[static_cast<std::size_t>(l)];
     const auto& lm = pw->wm[static_cast<std::size_t>(l)];
     const auto mark = arena.mark();
-    const float* mmh = lh.forward_rows_nobias(arena, h, total_nodes);
-    const float* mmm = lm.forward_rows_nobias(arena, msg, total_nodes);
+    const float* mmh = lh.forward_rows_nobias(arena, h, n);
+    const float* mmm = lm.forward_rows_nobias(arena, msg, n);
     // h = relu((h W_h + b_h) + (msg W_m + b_m)), written back in place —
     // both matmuls have consumed h by this point.
     simd.add2_bias_relu_rows(h, hidden, mmh, hidden, lh.bias(), mmm, hidden,
-                             lm.bias(), total_nodes, hidden);
+                             lm.bias(), n, hidden);
     arena.rewind(mark);
   }
 
@@ -257,20 +224,20 @@ std::vector<Matrix> Denoiser::predict_batch(
   // expressions the mul/add-broadcast/concat tensor ops evaluate per
   // row — built and scored kDecodeTileRows at a time, so one tile of
   // rows and its head activations stay in L1 instead of streaming every
-  // pair of the batch through memory. The head is row-independent, so
-  // tiling changes no logit.
+  // pair through memory. The head is row-independent, so tiling changes
+  // no logit.
   const Tensor enc_t(nn::timestep_encoding(t, config_.time_dim));
   Matrix r_emb;
   if (!config_.symmetric_decoder) r_emb = relation_.forward(enc_t).value();
   const Matrix d = dtime_.forward(enc_t).value();
   const std::size_t time_dim = config_.time_dim;
-  // H_i + r(t) depends on the node alone: translate each packed node row
-  // once, with the same float add the per-pair expression would do.
+  // H_i + r(t) depends on the node alone: translate each node row once,
+  // with the same float add the per-pair expression would do.
   const float* h_src = h;
   if (!config_.symmetric_decoder) {
     const float* rrow = r_emb.data().data();
-    float* translated = arena.alloc(total_nodes * hidden);
-    for (std::size_t g = 0; g < total_nodes; ++g) {
+    float* translated = arena.alloc(n * hidden);
+    for (std::size_t g = 0; g < n; ++g) {
       for (std::size_t j = 0; j < hidden; ++j) {
         translated[g * hidden + j] = h[g * hidden + j] + rrow[j];
       }
@@ -282,54 +249,35 @@ std::vector<Matrix> Denoiser::predict_batch(
   float* d_cols = arena.alloc(time_dim);
   for (std::size_t j = 0; j < time_dim; ++j) d_cols[j] = 0.0f + d[j];
   const std::size_t in_dim = hidden + time_dim + 1;
-  float* logits = arena.alloc(total_pairs);
+  Matrix logits(pairs.size(), 1);
   float* tile = arena.alloc(kDecodeTileRows * in_dim);
   std::size_t filled = 0;  // rows built in the current tile
   std::size_t scored = 0;  // logits written so far
   const auto score_tile = [&] {
     const auto mark = arena.mark();
     const float* out = pw->head.forward_rows(arena, tile, filled);
-    std::copy(out, out + filled, logits + scored);
+    std::copy(out, out + filled, logits.data().data() + scored);
     arena.rewind(mark);
     scored += filled;
     filled = 0;
   };
-  std::size_t node_base = 0;  // the current graph's first packed node row
-  for (const GraphStepInput& item : batch) {
-    const std::vector<Pair>& pairs = *item.pairs;
-    const std::vector<std::uint8_t>& state = *item.state;
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      if (k + 1 < pairs.size()) {
-        // The H gathers jump around the packed node block; hint the next
-        // pair's rows in while this one's row is built.
-        nn::prefetch_ro(h_src + (node_base + pairs[k + 1].src) * hidden);
-        nn::prefetch_ro(h + (node_base + pairs[k + 1].dst) * hidden);
-      }
-      float* row_out = tile + filled * in_dim;
-      const float* hi = h_src + (node_base + pairs[k].src) * hidden;
-      const float* hj = h + (node_base + pairs[k].dst) * hidden;
-      for (std::size_t j = 0; j < hidden; ++j) row_out[j] = hi[j] * hj[j];
-      std::copy(d_cols, d_cols + time_dim, row_out + hidden);
-      row_out[hidden + time_dim] = state[k] ? 1.0f : 0.0f;
-      if (++filled == kDecodeTileRows) score_tile();
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    if (k + 1 < pairs.size()) {
+      // The H gathers jump around the node rows; hint the next pair's
+      // rows in while this one's row is built.
+      nn::prefetch_ro(h_src + pairs[k + 1].src * hidden);
+      nn::prefetch_ro(h + pairs[k + 1].dst * hidden);
     }
-    node_base += item.features->rows();
+    float* row_out = tile + filled * in_dim;
+    const float* hi = h_src + pairs[k].src * hidden;
+    const float* hj = h + pairs[k].dst * hidden;
+    for (std::size_t j = 0; j < hidden; ++j) row_out[j] = hi[j] * hj[j];
+    std::copy(d_cols, d_cols + time_dim, row_out + hidden);
+    row_out[hidden + time_dim] = current_state[k] ? 1.0f : 0.0f;
+    if (++filled == kDecodeTileRows) score_tile();
   }
   if (filled != 0) score_tile();
-
-  // Split the (sum P_k) x 1 logits back into per-graph blocks.
-  std::vector<Matrix> out;
-  out.reserve(batch.size());
-  std::size_t row = 0;
-  for (const GraphStepInput& item : batch) {
-    Matrix block(item.pairs->size(), 1);
-    for (std::size_t k = 0; k < item.pairs->size(); ++k) {
-      block.at(k, 0) = logits[row + k];
-    }
-    row += item.pairs->size();
-    out.push_back(std::move(block));
-  }
-  return out;
+  return logits;
 }
 
 void Denoiser::collect_parameters(std::vector<nn::Tensor>& out) const {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "graph/adjacency.hpp"
@@ -41,16 +40,6 @@ struct Pair {
   std::uint32_t dst;
 };
 
-/// Borrowed per-graph inputs of one denoising step — exactly what one
-/// scalar encode() + decode() call consumes. All pointers must outlive the
-/// predict_batch() call.
-struct GraphStepInput {
-  const nn::Matrix* features;                            // N_k x feature_dim()
-  const std::vector<std::vector<std::size_t>>* parents;  // size N_k
-  const std::vector<Pair>* pairs;                        // P_k queried pairs
-  const std::vector<std::uint8_t>* state;                // P_k noisy bits A_t
-};
-
 class Denoiser : public nn::Module {
  public:
   Denoiser(DenoiserConfig config, util::Rng& rng);
@@ -70,23 +59,22 @@ class Denoiser : public nn::Module {
                                   const std::vector<std::uint8_t>& current_state,
                                   int t) const;
 
-  /// Batched multi-graph forward: packs all K graphs' node rows into one
-  /// matrix per MPNN layer (row blocks in batch order, parent indices
-  /// offset per block) and all pair queries into one decoder call, then
-  /// splits the logits back per graph. Every `nn` forward op is
-  /// row-independent, so result[k] is bitwise equal to
-  /// decode(encode(features_k, parents_k, t), pairs_k, state_k, t) — the
-  /// packing amortizes per-call work (time embeddings, r(t)/d(t) MLPs,
-  /// tensor bookkeeping) across the batch without changing a single bit.
-  /// Mixed graph sizes are fine; runs in inference mode (no autograd).
-  [[nodiscard]] std::vector<nn::Matrix> predict_batch(
-      std::span<const GraphStepInput> batch, int t) const;
+  /// Fused inference forward of one graph: the P x 1 logits of
+  /// decode(encode(node_features, parents, t), pairs, current_state, t),
+  /// bitwise equal to them, computed on the packed weights and the
+  /// dispatched SIMD kernels without autograd or tensor temporaries.
+  /// `pairs` may be any subset of the node pairs, in any order, or empty.
+  [[nodiscard]] nn::Matrix predict(
+      const nn::Matrix& node_features,
+      const std::vector<std::vector<std::size_t>>& parents,
+      const std::vector<Pair>& pairs,
+      const std::vector<std::uint8_t>& current_state, int t) const;
 
   void collect_parameters(std::vector<nn::Tensor>& out) const override;
 
   /// Drops the cached packed weights; call after a training step mutates
-  /// the parameters so the next predict_batch() re-packs fresh values.
-  /// In-flight predict_batch() calls keep their shared_ptr snapshot.
+  /// the parameters so the next predict() re-packs fresh values.
+  /// In-flight predict() calls keep their shared_ptr snapshot.
   void invalidate_packed();
 
   [[nodiscard]] const DenoiserConfig& config() const { return config_; }
@@ -101,15 +89,8 @@ class Denoiser : public nn::Module {
       const graph::AdjacencyMatrix& adj);
 
  private:
-  /// Encoder body on a pre-augmented (attrs + degree features) node matrix;
-  /// `parents` indices address rows of `augmented`. Shared by the scalar
-  /// and the packed multi-graph paths.
-  [[nodiscard]] nn::Tensor encode_augmented(
-      const nn::Matrix& augmented,
-      const std::vector<std::vector<std::size_t>>& parents, int t) const;
-
   /// The denoiser's weights in the shared fused-inference layout
-  /// (nn/inference.hpp) — predict_batch() runs entirely on
+  /// (nn/inference.hpp) — predict() runs entirely on
   /// PackedMlp/PackedLinear + the dispatched SIMD kernels, the same code
   /// path every other model uses.
   struct PackedWeights {

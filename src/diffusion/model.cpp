@@ -137,7 +137,7 @@ DiffusionModel::TrainStats DiffusionModel::train(
                                        : 0.0);
   }
   // The optimizer mutated the weight tensors in place; drop any packed
-  // snapshot so the next predict_batch() re-packs the trained values.
+  // snapshot so the next predict() re-packs the trained values.
   denoiser_.invalidate_packed();
   return stats;
 }
@@ -198,137 +198,113 @@ std::vector<DiffusionSample> DiffusionModel::sample_batch(
   if (attrs.size() != rngs.size()) {
     throw std::invalid_argument("sample_batch: attrs/rngs size mismatch");
   }
-  const std::size_t chains = attrs.size();
-  if (chains == 0) return {};
+  if (stats != nullptr) {
+    stats->pairs = 0;
+    stats->scored.assign(static_cast<std::size_t>(schedule_->steps()), 0);
+  }
 
-  // Per-chain state. A chain only ever touches its own rng, in the exact
-  // order of the scalar path: A_T first, then one uniform per pair per
-  // step, in pair order — lockstep batching and lazy decoding change no
-  // draw. A_t is kept as what the denoiser reads: one bit per pair, and
-  // each node's parent list. The open_* buffers hold the pairs whose draw
-  // this step needs the logit for; they are reused across steps.
-  struct Chain {
-    Matrix features;
-    std::vector<Pair> pairs;
-    std::vector<std::uint8_t> state;  // A_t per pair
-    std::vector<std::uint8_t> next;   // A_{t-1} per pair, being drawn
-    std::vector<std::vector<std::size_t>> parents;  // parent lists of A_t
-    std::vector<std::size_t> open;          // pair index
-    std::vector<Pair> open_pairs;           // its endpoints
-    std::vector<std::uint8_t> open_state;   // its A_t bit
-    std::vector<double> open_uniform;       // its draw
-    Matrix edge_prob;
-
-    /// Refills parents from `state`. Pairs run in (i, j) order, so each
-    /// list comes out ascending, as Denoiser::parent_lists builds it.
-    void rebuild_parents() {
-      for (auto& p : parents) p.clear();
-      for (std::size_t k = 0; k < pairs.size(); ++k) {
-        if (state[k] != 0) parents[pairs[k].dst].push_back(pairs[k].src);
-      }
-    }
-  };
-  std::vector<Chain> chain(chains);
-  for (std::size_t c = 0; c < chains; ++c) {
-    Chain& ch = chain[c];
+  std::vector<DiffusionSample> out;
+  out.reserve(attrs.size());
+  for (std::size_t c = 0; c < attrs.size(); ++c) {
+    // Chain c runs its whole reverse process before chain c + 1 starts. It
+    // touches only rngs[c], in the exact order of the scalar path: A_T
+    // first, then one uniform per pair per step, in pair order — lazy
+    // decoding changes no draw. A_t is kept as what the denoiser reads:
+    // one bit per pair, and each node's parent list. The open_* buffers
+    // hold the pairs whose draw this step needs the logit for; they are
+    // reused across steps.
+    util::Rng& rng = rngs[c];
     const std::size_t n = attrs[c].size();
-    ch.features = Denoiser::node_features(attrs[c]);
-    ch.pairs.reserve(n * (n - 1));
+    const Matrix features = Denoiser::node_features(attrs[c]);
+    std::vector<Pair> pairs;
+    pairs.reserve(n * (n - 1));
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         if (i != j) {
-          ch.pairs.push_back(
+          pairs.push_back(
               {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
         }
       }
     }
     // A_T ~ stationary noise.
-    ch.state.resize(ch.pairs.size());
-    ch.next.resize(ch.pairs.size());
-    for (std::size_t k = 0; k < ch.pairs.size(); ++k) {
-      ch.state[k] = rngs[c].bernoulli(schedule_->noise_marginal()) ? 1 : 0;
+    std::vector<std::uint8_t> state(pairs.size());  // A_t per pair
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      state[k] = rng.bernoulli(schedule_->noise_marginal()) ? 1 : 0;
     }
-    ch.parents.resize(n);
-    ch.rebuild_parents();
-    ch.open.reserve(ch.pairs.size());
-    ch.open_pairs.reserve(ch.pairs.size());
-    ch.open_state.reserve(ch.pairs.size());
-    ch.open_uniform.reserve(ch.pairs.size());
-    ch.edge_prob = Matrix(n, n);
-  }
-  if (stats != nullptr) {
-    stats->pairs = 0;
-    for (const Chain& ch : chain) stats->pairs += ch.pairs.size();
-    stats->scored.assign(static_cast<std::size_t>(schedule_->steps()), 0);
-  }
+    std::vector<std::uint8_t> next(pairs.size());  // A_{t-1}, being drawn
+    std::vector<std::vector<std::size_t>> parents(n);  // parent lists of A_t
+    // Refills parents from `state`. Pairs run in (i, j) order, so each
+    // list comes out ascending, as Denoiser::parent_lists builds it.
+    const auto rebuild_parents = [&] {
+      for (auto& p : parents) p.clear();
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (state[k] != 0) parents[pairs[k].dst].push_back(pairs[k].src);
+      }
+    };
+    rebuild_parents();
+    std::vector<std::size_t> open;         // pair index
+    std::vector<Pair> open_pairs;          // its endpoints
+    std::vector<std::uint8_t> open_state;  // its A_t bit
+    std::vector<double> open_uniform;      // its draw
+    open.reserve(pairs.size());
+    open_pairs.reserve(pairs.size());
+    open_state.reserve(pairs.size());
+    open_uniform.reserve(pairs.size());
+    Matrix edge_prob(n, n);
+    if (stats != nullptr) stats->pairs += pairs.size();
 
-  std::vector<GraphStepInput> inputs(chains);
-  for (std::size_t c = 0; c < chains; ++c) {
-    inputs[c] = {&chain[c].features, &chain[c].parents, &chain[c].open_pairs,
-                 &chain[c].open_state};
-  }
-  for (int t = schedule_->steps(); t >= 1; --t) {
-    // bernoulli(p) is uniform() < p, and p lies in range[A_t]: a uniform
-    // below lo draws an edge and one at or above hi draws none, whatever
-    // the logit. The last step scores every pair, since Phase 2 reads all
-    // of P_E^(0) (its range covers every uniform anyway).
-    const Schedule::PosteriorRange range[2] = {
-        schedule_->posterior_range(t, false),
-        schedule_->posterior_range(t, true)};
-    const bool score_all = t == 1;
-    for (std::size_t c = 0; c < chains; ++c) {
-      Chain& ch = chain[c];
-      ch.open.clear();
-      ch.open_pairs.clear();
-      ch.open_state.clear();
-      ch.open_uniform.clear();
-      for (std::size_t k = 0; k < ch.pairs.size(); ++k) {
-        const double u = rngs[c].uniform();
-        const Schedule::PosteriorRange& r = range[ch.state[k]];
+    for (int t = schedule_->steps(); t >= 1; --t) {
+      // bernoulli(p) is uniform() < p, and p lies in range[A_t]: a uniform
+      // below lo draws an edge and one at or above hi draws none, whatever
+      // the logit. The last step scores every pair, since Phase 2 reads all
+      // of P_E^(0) (its range covers every uniform anyway).
+      const Schedule::PosteriorRange range[2] = {
+          schedule_->posterior_range(t, false),
+          schedule_->posterior_range(t, true)};
+      const bool score_all = t == 1;
+      open.clear();
+      open_pairs.clear();
+      open_state.clear();
+      open_uniform.clear();
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const double u = rng.uniform();
+        const Schedule::PosteriorRange& r = range[state[k]];
         if (!score_all && (u < r.lo || u >= r.hi)) {
-          ch.next[k] = u < r.lo ? 1 : 0;
+          next[k] = u < r.lo ? 1 : 0;
           continue;
         }
-        ch.open.push_back(k);
-        ch.open_pairs.push_back(ch.pairs[k]);
-        ch.open_state.push_back(ch.state[k]);
-        ch.open_uniform.push_back(u);
+        open.push_back(k);
+        open_pairs.push_back(pairs[k]);
+        open_state.push_back(state[k]);
+        open_uniform.push_back(u);
       }
       if (stats != nullptr) {
-        stats->scored[static_cast<std::size_t>(t - 1)] += ch.open.size();
+        stats->scored[static_cast<std::size_t>(t - 1)] += open.size();
       }
-    }
-    // One packed denoiser forward for the open pairs of all K chains. The
-    // encoder reads all of A_t; the decoder head is row-independent, so
-    // each open pair gets the logit a full decode would give it.
-    const std::vector<Matrix> logits = denoiser_.predict_batch(inputs, t);
-    for (std::size_t c = 0; c < chains; ++c) {
-      Chain& ch = chain[c];
-      for (std::size_t o = 0; o < ch.open.size(); ++o) {
+      // The encoder reads all of A_t; the decoder head is row-independent,
+      // so each open pair gets the logit a full decode would give it.
+      const Matrix logits =
+          denoiser_.predict(features, parents, open_pairs, open_state, t);
+      for (std::size_t o = 0; o < open.size(); ++o) {
         const double p0_hat =
-            1.0 / (1.0 + std::exp(-static_cast<double>(logits[c].at(o, 0))));
+            1.0 / (1.0 + std::exp(-static_cast<double>(logits.at(o, 0))));
         const double p_prev =
-            schedule_->posterior(t, ch.open_state[o] != 0, p0_hat);
-        ch.next[ch.open[o]] = ch.open_uniform[o] < p_prev ? 1 : 0;
+            schedule_->posterior(t, open_state[o] != 0, p0_hat);
+        next[open[o]] = open_uniform[o] < p_prev ? 1 : 0;
         if (t == 1) {
-          ch.edge_prob.at(ch.open_pairs[o].src, ch.open_pairs[o].dst) =
+          edge_prob.at(open_pairs[o].src, open_pairs[o].dst) =
               static_cast<float>(p_prev);
         }
       }
-      ch.state.swap(ch.next);
-      ch.rebuild_parents();
+      state.swap(next);
+      rebuild_parents();
     }
-  }
 
-  std::vector<DiffusionSample> out;
-  out.reserve(chains);
-  for (std::size_t c = 0; c < chains; ++c) {
-    AdjacencyMatrix a0(attrs[c].size());
-    for (std::size_t k = 0; k < chain[c].pairs.size(); ++k) {
-      a0.set(chain[c].pairs[k].src, chain[c].pairs[k].dst,
-             chain[c].state[k] != 0);
+    AdjacencyMatrix a0(n);
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      a0.set(pairs[k].src, pairs[k].dst, state[k] != 0);
     }
-    out.push_back({std::move(a0), std::move(chain[c].edge_prob)});
+    out.push_back({std::move(a0), std::move(edge_prob)});
   }
   return out;
 }

@@ -62,27 +62,26 @@ class DiffusionModel {
 
   /// Reverse diffusion conditioned on the node attributes — the reference
   /// scalar path (one tensor-op denoiser forward per step, every pair
-  /// scored). sample_batch on one chain is bit-identical to this (asserted
+  /// scored). Each sample_batch chain is bit-identical to this (asserted
   /// in test_diffusion, and at the production config in test_core);
   /// keeping the implementations separate means the equivalence tests
   /// compare two genuinely different code paths.
   [[nodiscard]] DiffusionSample sample(const graph::NodeAttrs& attrs,
                                        util::Rng& rng) const;
 
-  /// Advances K reverse-diffusion chains in lockstep: each denoising step
-  /// runs ONE packed multi-graph denoiser forward (Denoiser::predict_batch)
-  /// instead of K independent ones. Chain k consumes only rngs[k], in
-  /// exactly the draw order of the scalar path: one uniform per pair per
-  /// step, in pair order. Each step draws its uniforms first; a pair whose
-  /// uniform falls outside Schedule::posterior_range is settled without a
-  /// logit, and only the rest are decoded. The packed forward is bitwise
-  /// row-equal to the per-graph forward, so result[k] is bit-identical to
-  /// sample(attrs[k], rngs[k]) run sequentially, at any batch size, for
-  /// finite logits (a NaN logit draws no edge in sample(); here its pair
-  /// may be settled by its uniform). The last step decodes every pair:
-  /// Phase 2 reads all of P_E^(0). attrs and rngs must have equal length;
-  /// chains may have different node counts. `stats`, when given, receives
-  /// the pairs decoded per step.
+  /// Runs one reverse-diffusion chain per entry, each to the end before
+  /// the next starts, on the fused denoiser forward (Denoiser::predict).
+  /// Chain k consumes only rngs[k], in exactly the draw order of the
+  /// scalar path: one uniform per pair per step, in pair order. Each step
+  /// draws its uniforms first; a pair whose uniform falls outside
+  /// Schedule::posterior_range is settled without a logit, and only the
+  /// rest are decoded. predict() is bitwise equal to encode() + decode(),
+  /// so result[k] is bit-identical to sample(attrs[k], rngs[k]) for finite
+  /// logits (a NaN logit draws no edge in sample(); here its pair may be
+  /// settled by its uniform). The last step decodes every pair: Phase 2
+  /// reads all of P_E^(0). attrs and rngs must have equal length; chains
+  /// may have different node counts. `stats`, when given, receives the
+  /// pairs decoded per step.
   [[nodiscard]] std::vector<DiffusionSample> sample_batch(
       std::span<const graph::NodeAttrs> attrs, std::span<util::Rng> rngs,
       SampleStats* stats = nullptr) const;

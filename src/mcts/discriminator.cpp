@@ -226,7 +226,7 @@ std::vector<double> PcsDiscriminator::score_rows(std::span<const Graph> gs,
       row[j] = static_cast<float>((f[j] - mean_[j]) / stddev_[j]);
     }
   }
-  const float* out = nn::mlp_forward_rows(packed_, arena, x, gs.size());
+  const float* out = packed_.forward_rows(arena, x, gs.size());
   std::vector<double> scores(gs.size());
   for (std::size_t i = 0; i < gs.size(); ++i) {
     scores[i] = static_cast<double>(out[i]) * label_scale_;

@@ -18,10 +18,11 @@
 //     Linear::weight_value() accessors. The GRU packs its three input
 //     gates (and the z/r hidden gates) into single column-concatenated
 //     matrices so one matmul feeds all gates.
-//   * mlp_forward_rows / gru_forward_rows — fused row kernels whose
-//     matmuls (register-blocked on the vector tiers) and bias+activation
-//     epilogues run on the runtime-dispatched SIMD tier (nn/simd.hpp:
-//     AVX-512F / AVX2 / SSE2 / scalar, selected per process by CPUID).
+//   * PackedMlp::forward_rows / PackedGru::forward_rows — fused row
+//     kernels whose matmuls (register-blocked on the vector tiers) and
+//     bias+activation epilogues run on the runtime-dispatched SIMD tier
+//     (nn/simd.hpp: AVX-512F / AVX2 / SSE2 / scalar, selected per process
+//     by CPUID).
 //
 // Bitwise contract: every kernel reproduces the tensor ops' arithmetic
 // exactly — nn::matmul's (i, k ascending with the zero-skip, j) loop
@@ -195,17 +196,5 @@ class PackedGru {
   std::unique_ptr<float[]> whn_;  // H x H
   std::unique_ptr<float[]> bhn_;  // H
 };
-
-/// Free-function spellings of the fused forwards (the names the rest of
-/// the repo rewires onto).
-inline float* mlp_forward_rows(const PackedMlp& mlp, InferenceArena& arena,
-                               const float* x, std::size_t rows) {
-  return mlp.forward_rows(arena, x, rows);
-}
-inline float* gru_forward_rows(const PackedGru& gru, InferenceArena& arena,
-                               const float* x, const float* h,
-                               std::size_t rows) {
-  return gru.forward_rows(arena, x, h, rows);
-}
 
 }  // namespace syn::nn

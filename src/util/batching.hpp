@@ -1,5 +1,5 @@
-// Shared chunking helper for every batched kernel (discriminator rewards,
-// multi-graph diffusion sampling, dataset sharding, micro-benches): walk
+// Shared chunking helper for every batched loop (generate_batch's pool
+// tasks, the dataset service's producer groups, micro-benches): walk
 // [0, total) in consecutive windows of at most `chunk` items. Centralizing
 // the loop keeps the chunk arithmetic identical everywhere, which matters
 // because batch boundaries must never change results — only throughput.

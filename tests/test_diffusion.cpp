@@ -227,53 +227,36 @@ TEST(Denoiser, SymmetricAblationIsDirectionBlind) {
   EXPECT_FLOAT_EQ(l1.value()[0], l2.value()[0]);
 }
 
-TEST(Denoiser, PredictBatchBitwiseEqualsScalarPath) {
+TEST(Denoiser, PredictBitwiseEqualsScalarPath) {
   util::Rng rng(6);
   Denoiser den({.mpnn_layers = 3, .hidden = 16, .time_dim = 8}, rng);
-  // Mixed-size graphs: the packed forward must reproduce each graph's
-  // scalar logits row-for-row despite different node counts per block.
-  const std::vector<graph::Graph> graphs{
-      rtl::make_counter(4), rtl::make_fifo_ctrl(3), rtl::make_counter(6)};
-
-  struct PerGraph {
-    nn::Matrix features;
-    std::vector<std::vector<std::size_t>> parents;
+  // Real circuits of different sizes, one graph per call: the fused
+  // forward must reproduce the tensor path's logits row for row.
+  for (const auto& g :
+       {rtl::make_counter(4), rtl::make_fifo_ctrl(3), rtl::make_counter(6)}) {
+    const auto adj = graph::to_adjacency(g);
+    const nn::Matrix features = Denoiser::node_features(graph::attrs_of(g));
+    const auto parents = Denoiser::parent_lists(adj);
     std::vector<Pair> pairs;
     std::vector<std::uint8_t> state;
-  };
-  std::vector<PerGraph> inputs;
-  std::vector<GraphStepInput> batch;
-  for (const auto& g : graphs) {
-    PerGraph item;
-    const auto adj = graph::to_adjacency(g);
-    item.features = Denoiser::node_features(graph::attrs_of(g));
-    item.parents = Denoiser::parent_lists(adj);
     for (std::uint32_t i = 0; i < g.num_nodes(); ++i) {
       for (std::uint32_t j = 0; j < g.num_nodes(); ++j) {
         if (i != j) {
-          item.pairs.push_back({i, j});
-          item.state.push_back(adj.at(i, j) ? 1 : 0);
+          pairs.push_back({i, j});
+          state.push_back(adj.at(i, j) ? 1 : 0);
         }
       }
     }
-    inputs.push_back(std::move(item));
-  }
-  for (const auto& item : inputs) {
-    batch.push_back({&item.features, &item.parents, &item.pairs, &item.state});
-  }
-
-  for (const int t : {1, 3}) {
-    const auto batched = den.predict_batch(batch, t);
-    ASSERT_EQ(batched.size(), graphs.size());
-    for (std::size_t k = 0; k < inputs.size(); ++k) {
-      const auto h = den.encode(inputs[k].features, inputs[k].parents, t);
+    for (const int t : {1, 3}) {
+      const nn::Matrix fused = den.predict(features, parents, pairs, state, t);
       const auto scalar =
-          den.decode(h, inputs[k].pairs, inputs[k].state, t);
-      ASSERT_EQ(batched[k].rows(), inputs[k].pairs.size());
-      for (std::size_t p = 0; p < inputs[k].pairs.size(); ++p) {
+          den.decode(den.encode(features, parents, t), pairs, state, t);
+      ASSERT_EQ(fused.rows(), pairs.size());
+      ASSERT_EQ(fused.cols(), 1u);
+      for (std::size_t p = 0; p < pairs.size(); ++p) {
         // Bitwise equality: EXPECT_EQ on floats, not EXPECT_NEAR.
-        EXPECT_EQ(batched[k].at(p, 0), scalar.value()[p])
-            << "graph " << k << " pair " << p << " t=" << t;
+        EXPECT_EQ(fused.at(p, 0), scalar.value()[p])
+            << g.num_nodes() << " nodes, pair " << p << " t=" << t;
       }
     }
   }
@@ -323,7 +306,7 @@ TEST(DiffusionModel, SampleBatchBitIdenticalToSequentialScalar) {
 
 TEST(DiffusionModel, SampleBatchStepWithNoPairToDecode) {
   // A 2-node chain often settles both of its pairs from their uniforms,
-  // so a step's packed forward gets no pair to decode. The draws must
+  // so a step's denoiser forward gets no pair to decode. The draws must
   // still match sample(), and the stats must show such a step happened.
   DiffusionConfig cfg;
   cfg.steps = 4;

@@ -88,8 +88,7 @@ TEST(PackedMlp, BitwiseEqualsTensorForwardAcrossActivations) {
       NoGradGuard guard;
       const Matrix reference = mlp.forward(Tensor(x)).value();
       arena.reset();
-      const float* fused =
-          mlp_forward_rows(packed, arena, x.data().data(), batch);
+      const float* fused = packed.forward_rows(arena, x.data().data(), batch);
       expect_bitwise_equal(fused, reference);
     }
   }
@@ -101,7 +100,7 @@ TEST(PackedMlp, EmptyBatchIsSafe) {
   const PackedMlp packed(mlp);
   InferenceArena arena;
   // The tensor path asserts on B=0; the fused path must just no-op.
-  EXPECT_NE(mlp_forward_rows(packed, arena, nullptr, 0), nullptr);
+  EXPECT_NE(packed.forward_rows(arena, nullptr, 0), nullptr);
 }
 
 TEST(PackedMlp, MixedWidthsAndForcedTilingStayBitwise) {
@@ -116,8 +115,7 @@ TEST(PackedMlp, MixedWidthsAndForcedTilingStayBitwise) {
     const Matrix x = random_matrix(7, dims.front(), rng);
     NoGradGuard guard;
     const Matrix reference = mlp.forward(Tensor(x)).value();
-    const float* fused =
-        mlp_forward_rows(packed, arena, x.data().data(), x.rows());
+    const float* fused = packed.forward_rows(arena, x.data().data(), x.rows());
     expect_bitwise_equal(fused, reference);
   }
 }
@@ -129,15 +127,15 @@ TEST(PackedMlp, ArenaReuseAcrossCallsDoesNotChangeResults) {
   const Matrix x = random_matrix(5, 8, rng);
 
   InferenceArena arena;
-  const float* out = mlp_forward_rows(packed, arena, x.data().data(), 5);
+  const float* out = packed.forward_rows(arena, x.data().data(), 5);
   const std::vector<float> first(out, out + 5 * 4);
 
   // Dirty the arena with a differently-shaped forward, then rerun.
   const Matrix other = random_matrix(11, 8, rng);
   arena.reset();
-  (void)mlp_forward_rows(packed, arena, other.data().data(), 11);
+  (void)packed.forward_rows(arena, other.data().data(), 11);
   arena.reset();
-  out = mlp_forward_rows(packed, arena, x.data().data(), 5);
+  out = packed.forward_rows(arena, x.data().data(), 5);
   for (std::size_t i = 0; i < first.size(); ++i) EXPECT_EQ(out[i], first[i]);
 }
 
@@ -157,8 +155,8 @@ TEST(PackedGru, BitwiseEqualsTensorForwardMultiStep) {
       NoGradGuard guard;
       h_tensor = cell.forward(Tensor(x), Tensor(h_tensor)).value();
       arena.reset();
-      const float* next = gru_forward_rows(packed, arena, x.data().data(),
-                                           h_fused.data(), batch);
+      const float* next =
+          packed.forward_rows(arena, x.data().data(), h_fused.data(), batch);
       expect_bitwise_equal(next, h_tensor);
       std::copy(next, next + h_fused.size(), h_fused.begin());
     }
@@ -189,7 +187,7 @@ TEST(Inference, SharedPackedModelAcrossThreadsMatchesTensor) {
       for (int iter = 0; iter < 32; ++iter) {
         arena.reset();
         const float* out =
-            mlp_forward_rows(packed, arena, inputs[t].data().data(), 3);
+            packed.forward_rows(arena, inputs[t].data().data(), 3);
         for (std::size_t i = 0; i < references[t].size(); ++i) {
           if (out[i] != references[t][i]) ++mismatches[t];
         }
@@ -337,7 +335,7 @@ TEST_F(SimdLevelSweep, MlpForwardBitwiseIdenticalAcrossTiers) {
   for (const SimdLevel level : host_levels()) {
     ASSERT_EQ(use(level), level);
     InferenceArena arena;
-    const float* fused = mlp_forward_rows(packed, arena, x.data().data(), 6);
+    const float* fused = packed.forward_rows(arena, x.data().data(), 6);
     expect_bitwise_equal(fused, reference);
   }
 }
@@ -364,8 +362,8 @@ TEST_F(SimdLevelSweep, GruForwardBitwiseIdenticalAcrossTiers) {
     std::vector<float> h(batch * 19, 0.0f);
     for (std::size_t step = 0; step < x_steps.size(); ++step) {
       arena.reset();
-      const float* next = gru_forward_rows(
-          packed, arena, x_steps[step].data().data(), h.data(), batch);
+      const float* next = packed.forward_rows(
+          arena, x_steps[step].data().data(), h.data(), batch);
       expect_bitwise_equal(next, references[step]);
       std::copy(next, next + h.size(), h.begin());
     }
@@ -420,119 +418,119 @@ TEST_F(SimdLevelSweep, MatmulRowsBlockedMatchesSkippingReference) {
   }
 }
 
-// predict_batch builds and scores pair rows one tile at a time. At the
-// production denoiser shape, three graphs of 13, 17 and 11 nodes give 538
-// pairs, so graph boundaries fall inside tiles and the last tile is
-// ragged; every logit must still equal the tensor path's encode + decode.
+// predict() builds and scores pair rows one 128-row tile at a time. Every
+// logit must equal the tensor path's encode + decode at every host tier:
+// on a graph smaller than one tile (5 nodes, 20 pairs) and on one spanning
+// several with a ragged last tile (19 nodes, 342 pairs = 2 x 128 + 86),
+// for all pairs, for a non-contiguous subset (what lazy decoding sends at
+// t > 1; 228 of the 342 pairs), and for no pair at all. Both the
+// production shape and an odd one (hidden 12, time_dim 8), whose rows end
+// in every vector tier's scalar tail, are checked.
 TEST_F(SimdLevelSweep, DenoiserDecodeTilesMatchScalarPath) {
   util::Rng rng(506);
-  diffusion::Denoiser denoiser(
-      {.mpnn_layers = 3, .hidden = 32, .time_dim = 16}, rng);
-  std::vector<Matrix> features;
-  std::vector<std::vector<std::vector<std::size_t>>> parents;
-  std::vector<std::vector<diffusion::Pair>> pairs;
-  std::vector<std::vector<std::uint8_t>> state;
-  for (const std::size_t n :
-       {std::size_t{13}, std::size_t{17}, std::size_t{11}}) {
-    features.push_back(
-        random_matrix(n, diffusion::Denoiser::feature_dim(), rng));
-    std::vector<std::vector<std::size_t>> plist(n);
-    std::vector<diffusion::Pair> ps;
-    std::vector<std::uint8_t> st;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const bool edge = rng.uniform(0.0, 1.0) < 0.2;
-        if (edge) plist[j].push_back(i);
-        ps.push_back(
-            {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
-        st.push_back(edge ? 1 : 0);
+  for (const diffusion::DenoiserConfig config :
+       {diffusion::DenoiserConfig{
+            .mpnn_layers = 3, .hidden = 32, .time_dim = 16},
+        diffusion::DenoiserConfig{
+            .mpnn_layers = 2, .hidden = 12, .time_dim = 8}}) {
+    const diffusion::Denoiser denoiser(config, rng);
+    for (const std::size_t n : {std::size_t{5}, std::size_t{19}}) {
+      const Matrix features =
+          random_matrix(n, diffusion::Denoiser::feature_dim(), rng);
+      std::vector<std::vector<std::size_t>> parents(n);
+      struct Query {
+        std::vector<diffusion::Pair> pairs;
+        std::vector<std::uint8_t> state;
+      };
+      Query all;
+      Query subset;  // drops every third pair
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (i == j) continue;
+          const bool edge = rng.uniform(0.0, 1.0) < 0.2;
+          if (edge) parents[j].push_back(i);
+          const diffusion::Pair pair{static_cast<std::uint32_t>(i),
+                                     static_cast<std::uint32_t>(j)};
+          if (all.pairs.size() % 3 != 1) {
+            subset.pairs.push_back(pair);
+            subset.state.push_back(edge ? 1 : 0);
+          }
+          all.pairs.push_back(pair);
+          all.state.push_back(edge ? 1 : 0);
+        }
       }
-    }
-    parents.push_back(std::move(plist));
-    pairs.push_back(std::move(ps));
-    state.push_back(std::move(st));
-  }
-  std::vector<diffusion::GraphStepInput> batch;
-  for (std::size_t g = 0; g < features.size(); ++g) {
-    batch.push_back({&features[g], &parents[g], &pairs[g], &state[g]});
-  }
-  ASSERT_EQ(pairs[0].size() + pairs[1].size() + pairs[2].size(), 538u);
 
-  for (const int t : {1, 6}) {
-    std::vector<Matrix> reference;
-    {
-      NoGradGuard guard;
-      for (std::size_t g = 0; g < features.size(); ++g) {
-        const Tensor h = denoiser.encode(features[g], parents[g], t);
-        reference.push_back(denoiser.decode(h, pairs[g], state[g], t).value());
-      }
-    }
-    for (const SimdLevel level : host_levels()) {
-      ASSERT_EQ(use(level), level);
-      const std::vector<Matrix> got = denoiser.predict_batch(batch, t);
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t g = 0; g < got.size(); ++g) {
-        ASSERT_EQ(got[g].size(), reference[g].size());
-        for (std::size_t i = 0; i < got[g].size(); ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[g][i]),
-                    std::bit_cast<std::uint32_t>(reference[g][i]))
-              << "graph " << g << " pair " << i << " t " << t << " tier "
-              << to_string(level);
+      for (const int t : {1, 3, 6}) {
+        for (const Query* q : {&all, &subset}) {
+          Matrix reference;
+          {
+            NoGradGuard guard;
+            const Tensor h = denoiser.encode(features, parents, t);
+            reference = denoiser.decode(h, q->pairs, q->state, t).value();
+          }
+          for (const SimdLevel level : host_levels()) {
+            ASSERT_EQ(use(level), level);
+            const Matrix got =
+                denoiser.predict(features, parents, q->pairs, q->state, t);
+            ASSERT_EQ(got.rows(), q->pairs.size());
+            ASSERT_EQ(got.cols(), 1u);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                        std::bit_cast<std::uint32_t>(reference[i]))
+                  << n << " nodes, " << q->pairs.size() << " pairs, hidden "
+                  << config.hidden << ", pair " << i << " t " << t
+                  << " tier " << to_string(level);
+            }
+          }
+        }
+        // No pair to decode: a step whose uniforms settled every draw.
+        for (const SimdLevel level : host_levels()) {
+          ASSERT_EQ(use(level), level);
+          const Matrix none = denoiser.predict(features, parents, {}, {}, t);
+          EXPECT_EQ(none.rows(), 0u) << "tier " << to_string(level);
+          EXPECT_EQ(none.cols(), 1u) << "tier " << to_string(level);
         }
       }
     }
   }
 }
 
-// The denoiser's predict_batch now runs on the unified PackedMlp path;
-// its multi-graph logits must be bitwise stable across every tier.
+// The denoiser's predict() runs on the unified PackedMlp path; its logits
+// on each of three small graphs must be bitwise stable across every tier,
+// with the scalar tier as the reference.
 TEST_F(SimdLevelSweep, DenoiserPredictBatchBitwiseIdenticalAcrossTiers) {
   util::Rng rng(504);
   diffusion::Denoiser denoiser(
       {.mpnn_layers = 2, .hidden = 12, .time_dim = 8}, rng);
 
   // Three small graphs with distinct shapes and parent structure.
-  std::vector<Matrix> features;
-  std::vector<std::vector<std::vector<std::size_t>>> parents;
-  std::vector<std::vector<diffusion::Pair>> pairs;
-  std::vector<std::vector<std::uint8_t>> state;
   for (const std::size_t n : {std::size_t{4}, std::size_t{7}, std::size_t{5}}) {
-    features.push_back(
-        random_matrix(n, diffusion::Denoiser::feature_dim(), rng));
-    std::vector<std::vector<std::size_t>> plist(n);
+    const Matrix features =
+        random_matrix(n, diffusion::Denoiser::feature_dim(), rng);
+    std::vector<std::vector<std::size_t>> parents(n);
     for (std::size_t j = 1; j < n; ++j) {
       for (std::size_t i = 0; i < j; ++i) {
-        if (rng.uniform(0.0, 1.0) < 0.5) plist[j].push_back(i);
+        if (rng.uniform(0.0, 1.0) < 0.5) parents[j].push_back(i);
       }
     }
-    parents.push_back(std::move(plist));
-    std::vector<diffusion::Pair> ps;
-    std::vector<std::uint8_t> st;
+    std::vector<diffusion::Pair> pairs;
+    std::vector<std::uint8_t> state;
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      ps.push_back({static_cast<std::uint32_t>(i),
-                    static_cast<std::uint32_t>(i + 1)});
-      st.push_back(static_cast<std::uint8_t>(i % 2));
+      pairs.push_back({static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>(i + 1)});
+      state.push_back(static_cast<std::uint8_t>(i % 2));
     }
-    pairs.push_back(std::move(ps));
-    state.push_back(std::move(st));
-  }
-  std::vector<diffusion::GraphStepInput> batch;
-  for (std::size_t k = 0; k < features.size(); ++k) {
-    batch.push_back({&features[k], &parents[k], &pairs[k], &state[k]});
-  }
 
-  ASSERT_EQ(use(SimdLevel::kScalar), SimdLevel::kScalar);
-  const std::vector<Matrix> reference = denoiser.predict_batch(batch, 3);
-  for (const SimdLevel level : host_levels()) {
-    ASSERT_EQ(use(level), level);
-    const std::vector<Matrix> got = denoiser.predict_batch(batch, 3);
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t g = 0; g < got.size(); ++g) {
-      ASSERT_EQ(got[g].size(), reference[g].size());
-      for (std::size_t i = 0; i < got[g].size(); ++i) {
-        EXPECT_EQ(got[g][i], reference[g][i])
-            << "graph " << g << " logit " << i << " tier " << to_string(level);
+    ASSERT_EQ(use(SimdLevel::kScalar), SimdLevel::kScalar);
+    const Matrix reference =
+        denoiser.predict(features, parents, pairs, state, 3);
+    for (const SimdLevel level : host_levels()) {
+      ASSERT_EQ(use(level), level);
+      const Matrix got = denoiser.predict(features, parents, pairs, state, 3);
+      ASSERT_EQ(got.size(), reference.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], reference[i])
+            << n << " nodes, logit " << i << " tier " << to_string(level);
       }
     }
   }
