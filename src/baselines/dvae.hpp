@@ -41,11 +41,6 @@ class Dvae : public core::GeneratorModel {
     return losses_;
   }
 
-  /// Trained modules, for tests that replay generation on the tensor path
-  /// and assert it matches the fused inference path bitwise.
-  [[nodiscard]] const nn::GruCell& decoder() const { return decoder_; }
-  [[nodiscard]] const nn::Mlp& edge_head() const { return edge_head_; }
-
  private:
   DvaeConfig config_;
   util::Rng rng_;

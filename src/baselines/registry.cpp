@@ -1,14 +1,11 @@
 // Implementation of the core backend registry (see core/registry.hpp for
-// why it is compiled into syn_baselines: the factory constructs baseline
+// why it is compiled into syn_baselines: the table constructs baseline
 // types, which live above core in the dependency DAG).
 #include "core/registry.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cctype>
-#include <map>
-#include <mutex>
 #include <stdexcept>
-#include <utility>
 
 #include "baselines/dvae.hpp"
 #include "baselines/graphmaker.hpp"
@@ -53,71 +50,46 @@ std::unique_ptr<GeneratorModel> make_baseline(const BackendConfig& cfg) {
   return std::make_unique<Model>(c);
 }
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, GeneratorFactory> factories;
+struct Backend {
+  std::string_view name;
+  std::unique_ptr<GeneratorModel> (*make)(const BackendConfig&);
 };
 
-Registry& registry() {
-  // Function-local static: the five builtins are registered on first use,
-  // which sidesteps static-initialization-order and archive-member
-  // dead-stripping issues entirely.
-  static Registry* r = [] {
-    auto* reg = new Registry;
-    reg->factories["syncircuit"] = make_syncircuit;
-    reg->factories["graphrnn"] =
-        make_baseline<baselines::GraphRnn, baselines::GraphRnnConfig>;
-    reg->factories["dvae"] =
-        make_baseline<baselines::Dvae, baselines::DvaeConfig>;
-    reg->factories["graphmaker"] =
-        make_baseline<baselines::GraphMaker, baselines::GraphMakerConfig>;
-    reg->factories["sparsedigress"] =
-        make_baseline<baselines::SparseDigress,
-                      baselines::SparseDigressConfig>;
-    return reg;
-  }();
-  return *r;
-}
+/// Sorted by name: registered_generators() and the unknown-name error
+/// list the backends in this order.
+constexpr std::array<Backend, 5> kBackends{{
+    {"dvae", make_baseline<baselines::Dvae, baselines::DvaeConfig>},
+    {"graphmaker",
+     make_baseline<baselines::GraphMaker, baselines::GraphMakerConfig>},
+    {"graphrnn", make_baseline<baselines::GraphRnn, baselines::GraphRnnConfig>},
+    {"sparsedigress",
+     make_baseline<baselines::SparseDigress, baselines::SparseDigressConfig>},
+    {"syncircuit", make_syncircuit},
+}};
 
 }  // namespace
 
 std::unique_ptr<GeneratorModel> make_generator(std::string_view name,
                                                const BackendConfig& config) {
   const std::string key = normalize(name);
-  GeneratorFactory factory;
-  {
-    Registry& reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    const auto it = reg.factories.find(key);
-    if (it == reg.factories.end()) {
-      std::string known;
-      for (const auto& [k, _] : reg.factories) {
-        if (!known.empty()) known += ", ";
-        known += k;
-      }
-      throw std::invalid_argument("unknown generator backend \"" +
-                                  std::string(name) + "\" (available: " +
-                                  known + ")");
-    }
-    factory = it->second;
+  for (const Backend& backend : kBackends) {
+    if (backend.name == key) return backend.make(config);
   }
-  // Invoke outside the lock: factories may be arbitrarily expensive.
-  return factory(config);
-}
-
-void register_generator(const std::string& name, GeneratorFactory factory) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  reg.factories[normalize(name)] = std::move(factory);
+  std::string known;
+  for (const Backend& backend : kBackends) {
+    if (!known.empty()) known += ", ";
+    known += backend.name;
+  }
+  throw std::invalid_argument("unknown generator backend \"" +
+                              std::string(name) + "\" (available: " + known +
+                              ")");
 }
 
 std::vector<std::string> registered_generators() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
   std::vector<std::string> names;
-  names.reserve(reg.factories.size());
-  for (const auto& [k, _] : reg.factories) names.push_back(k);
-  return names;  // std::map iteration is already sorted
+  names.reserve(kBackends.size());
+  for (const Backend& backend : kBackends) names.emplace_back(backend.name);
+  return names;
 }
 
 }  // namespace syn::core

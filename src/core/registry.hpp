@@ -1,17 +1,17 @@
 // Backend registry: construct any of the five generative models by
 // string name, so CLIs, examples, services and tests select backends
-// uniformly instead of hand-wiring constructors.
+// uniformly instead of hand-wiring constructors. The five backends are a
+// fixed table; nothing registers a backend at run time.
 //
 // Layering note: the API lives in core (it deals only in
 // core::GeneratorModel), but the implementation is compiled into
-// syn_baselines — the factory must construct the baseline types, and
+// syn_baselines — the table must construct the baseline types, and
 // baselines sits above core in the dependency DAG. Anything calling
 // make_generator therefore links syn::baselines (or the syn::syn
 // umbrella, which every binary in this repo uses).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -37,10 +37,7 @@ struct BackendConfig {
   SynCircuitConfig syncircuit{};
 };
 
-using GeneratorFactory =
-    std::function<std::unique_ptr<GeneratorModel>(const BackendConfig&)>;
-
-/// Constructs a registered backend. `name` is matched case-insensitively
+/// Constructs one of the five backends. `name` is matched case-insensitively
 /// and accepts the canonical keys ("syncircuit", "graphrnn", "dvae",
 /// "graphmaker", "sparsedigress") plus the paper's display aliases
 /// ("d-vae", "graphmaker-v", "sparsedigress-v"). Throws
@@ -48,11 +45,7 @@ using GeneratorFactory =
 [[nodiscard]] std::unique_ptr<GeneratorModel> make_generator(
     std::string_view name, const BackendConfig& config = {});
 
-/// Registers (or replaces) a backend under `name`; later
-/// make_generator(name) calls invoke `factory`. Thread-safe.
-void register_generator(const std::string& name, GeneratorFactory factory);
-
-/// Canonical names of all registered backends, sorted.
+/// Canonical names of the five backends, sorted.
 [[nodiscard]] std::vector<std::string> registered_generators();
 
 }  // namespace syn::core

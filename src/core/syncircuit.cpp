@@ -133,12 +133,6 @@ Graph SynCircuitGenerator::generate(const NodeAttrs& attrs, util::Rng& rng) {
   return result;
 }
 
-Graph SynCircuitGenerator::optimize_only(const Graph& gval,
-                                         util::Rng& rng) const {
-  if (!fitted_) throw std::logic_error("SynCircuit: optimize before fit");
-  return mcts::optimize_registers(gval, config_.mcts, reward(), rng);
-}
-
 std::string SynCircuitGenerator::name() const {
   std::string n = "SynCircuit";
   n += config_.use_diffusion ? " w/ diff" : " w/o diff";

@@ -63,11 +63,6 @@ class SynCircuitGenerator : public GeneratorModel {
   [[nodiscard]] Phases run_phases(const graph::NodeAttrs& attrs,
                                   util::Rng& rng);
 
-  /// Runs only Phase 3 on an existing valid circuit (used by Fig 4 to
-  /// optimize externally supplied G_val instances).
-  [[nodiscard]] graph::Graph optimize_only(const graph::Graph& gval,
-                                           util::Rng& rng) const;
-
   [[nodiscard]] const AttrSampler& attr_sampler() const { return attrs_; }
   [[nodiscard]] const diffusion::DiffusionModel& diffusion_model() const {
     return diffusion_;

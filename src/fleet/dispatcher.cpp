@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -265,8 +266,12 @@ FleetDispatcher::Result FleetDispatcher::run(
         sj.last_error = "[" + ep.label + "] " + error;
         if (!cancelling) {
           note_failure = true;
-          sj.not_before = std::chrono::steady_clock::now() +
-                          sj.attempts * config_.retry_delay;
+          // Attempt k waits k * kRetryDelay. Covers the window where a
+          // merely-suspected worker still holds a part dir's lock until
+          // the best-effort remote cancel lands.
+          constexpr std::chrono::milliseconds kRetryDelay{200};
+          sj.not_before =
+              std::chrono::steady_clock::now() + sj.attempts * kRetryDelay;
           if (sj.attempts >= config_.max_attempts) {
             failed = true;
             fail_error = "range [" + std::to_string(sj.lo) + ", " +
@@ -404,12 +409,14 @@ FleetDispatcher::Result FleetDispatcher::run(
         }
       } else if (active == 0) {
         // Nothing running and nobody to dispatch to. Give the heartbeat
-        // loop a grace window to revive a suspect before giving up.
+        // loop a grace window to revive a suspect before giving up: one
+        // heartbeat blip should not kill a fleet job.
+        constexpr std::chrono::milliseconds kNoLiveGrace{5000};
         if (!starving) {
           starving = true;
           starved_since = now;
         }
-        if (now - starved_since >= config_.no_live_grace) {
+        if (now - starved_since >= kNoLiveGrace) {
           std::string last;
           for (const SubJob& sj : subjobs) {
             if (!sj.last_error.empty()) last = sj.last_error;
@@ -419,7 +426,9 @@ FleetDispatcher::Result FleetDispatcher::run(
         }
       }
 
-      changed.wait_for(lock, config_.poll_interval);
+      // Control-loop tick: cancel polling, eviction aborts, dispatch.
+      constexpr std::chrono::milliseconds kPollInterval{50};
+      changed.wait_for(lock, kPollInterval);
     }
     lock.unlock();
     join_all();

@@ -24,7 +24,6 @@
 // the workers' jobs.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -55,15 +54,6 @@ struct FleetDispatcherConfig {
   int connect_timeout_ms = 2000;
   /// Dispatch attempts per sub-range before the fleet job fails.
   std::size_t max_attempts = 6;
-  /// Re-dispatch backoff: attempt k waits k * retry_delay. Covers the
-  /// window where a merely-suspected worker still holds a part dir's
-  /// lock until the best-effort remote cancel lands.
-  std::chrono::milliseconds retry_delay{200};
-  /// Control-loop tick (cancel polling, eviction aborts, dispatch).
-  std::chrono::milliseconds poll_interval{50};
-  /// How long the job tolerates "no live worker and nothing running"
-  /// before failing — one heartbeat blip should not kill a fleet job.
-  std::chrono::milliseconds no_live_grace{5000};
   /// Coordinator log line sink (optional).
   std::function<void(const std::string&)> log;
 };

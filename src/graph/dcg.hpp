@@ -46,7 +46,6 @@ class Graph {
   [[nodiscard]] NodeType type(NodeId id) const { return nodes_[id].type; }
   [[nodiscard]] int width(NodeId id) const { return nodes_[id].width; }
   [[nodiscard]] std::uint32_t param(NodeId id) const { return nodes_[id].param; }
-  void set_param(NodeId id, std::uint32_t param) { nodes_[id].param = param; }
 
   [[nodiscard]] const std::vector<NodeId>& fanins(NodeId id) const {
     return nodes_[id].fanins;

@@ -1,12 +1,7 @@
 #include "graph/export.hpp"
 
-#include <cctype>
-#include <cstddef>
-#include <cstdint>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace syn::graph {
 
@@ -26,161 +21,6 @@ std::string to_dot(const Graph& g) {
     os << "  n" << from << " -> n" << to << ";\n";
   }
   os << "}\n";
-  return os.str();
-}
-
-std::string to_json(const Graph& g) {
-  std::ostringstream os;
-  os << "{\"name\":\"" << g.name() << "\",\"nodes\":[";
-  for (NodeId i = 0; i < g.num_nodes(); ++i) {
-    if (i) os << ",";
-    os << "[" << static_cast<int>(g.type(i)) << "," << g.width(i) << ","
-       << g.param(i) << "]";
-  }
-  os << "],\"edges\":[";
-  bool first = true;
-  for (NodeId j = 0; j < g.num_nodes(); ++j) {
-    const auto& fan = g.fanins(j);
-    for (std::size_t s = 0; s < fan.size(); ++s) {
-      if (fan[s] == kNoNode) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "[" << fan[s] << "," << j << "," << s << "]";
-    }
-  }
-  os << "]}";
-  return os.str();
-}
-
-namespace {
-
-struct JsonCursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  void expect(char c) {
-    ws();
-    if (pos >= text.size() || text[pos] != c) {
-      throw std::runtime_error(std::string("from_json: expected '") + c +
-                               "' at offset " + std::to_string(pos));
-    }
-    ++pos;
-  }
-  bool peek(char c) {
-    ws();
-    return pos < text.size() && text[pos] == c;
-  }
-  long number() {
-    ws();
-    bool negative = false;
-    if (pos < text.size() && text[pos] == '-') {
-      negative = true;
-      ++pos;
-    }
-    if (pos >= text.size() ||
-        !std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      throw std::runtime_error("from_json: expected number");
-    }
-    long v = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      v = v * 10 + (text[pos] - '0');
-      ++pos;
-    }
-    return negative ? -v : v;
-  }
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') out += text[pos++];
-    expect('"');
-    return out;
-  }
-  void key(const char* expected) {
-    const std::string k = string_value();
-    if (k != expected) {
-      throw std::runtime_error("from_json: expected key '" +
-                               std::string(expected) + "', got '" + k + "'");
-    }
-    expect(':');
-  }
-};
-
-}  // namespace
-
-Graph from_json(const std::string& text) {
-  JsonCursor cur{text};
-  cur.expect('{');
-  cur.key("name");
-  Graph g(cur.string_value());
-  cur.expect(',');
-  cur.key("nodes");
-  cur.expect('[');
-  if (!cur.peek(']')) {
-    while (true) {
-      cur.expect('[');
-      const long type = cur.number();
-      cur.expect(',');
-      const long width = cur.number();
-      cur.expect(',');
-      const long param = cur.number();
-      cur.expect(']');
-      if (type < 0 || type >= kNumNodeTypes) {
-        throw std::runtime_error("from_json: bad node type");
-      }
-      g.add_node(static_cast<NodeType>(type), static_cast<int>(width),
-                 static_cast<std::uint32_t>(param));
-      if (cur.peek(',')) {
-        cur.expect(',');
-        continue;
-      }
-      break;
-    }
-  }
-  cur.expect(']');
-  cur.expect(',');
-  cur.key("edges");
-  cur.expect('[');
-  if (!cur.peek(']')) {
-    while (true) {
-      cur.expect('[');
-      const long from = cur.number();
-      cur.expect(',');
-      const long to = cur.number();
-      cur.expect(',');
-      const long slot = cur.number();
-      cur.expect(']');
-      if (from < 0 || to < 0 ||
-          static_cast<std::size_t>(from) >= g.num_nodes() ||
-          static_cast<std::size_t>(to) >= g.num_nodes() || slot < 0 ||
-          slot >= arity(g.type(static_cast<NodeId>(to)))) {
-        throw std::runtime_error("from_json: bad edge");
-      }
-      g.set_fanin(static_cast<NodeId>(to), static_cast<int>(slot),
-                  static_cast<NodeId>(from));
-      if (cur.peek(',')) {
-        cur.expect(',');
-        continue;
-      }
-      break;
-    }
-  }
-  cur.expect(']');
-  cur.expect('}');
-  return g;
-}
-
-std::string to_edge_list(const Graph& g) {
-  std::ostringstream os;
-  for (const auto& [from, to] : g.edges()) {
-    os << from << " " << to << "\n";
-  }
   return os.str();
 }
 

@@ -1,6 +1,4 @@
-// Interchange formats for circuit graphs: Graphviz DOT (visualization),
-// a line-oriented JSON (tool interop), and an edge-list form (graph-ML
-// pipelines). JSON round-trips exactly.
+// Graphviz DOT export of circuit graphs, for visualization.
 #pragma once
 
 #include <string>
@@ -12,16 +10,5 @@ namespace syn::graph {
 /// Graphviz DOT with node types/widths as labels; registers are drawn as
 /// boxes, IO as diamonds.
 std::string to_dot(const Graph& g);
-
-/// Compact JSON: {"name": .., "nodes": [[type, width, param], ..],
-/// "edges": [[from, to, slot], ..]}.
-std::string to_json(const Graph& g);
-
-/// Parses the JSON form produced by to_json. Throws std::runtime_error on
-/// malformed input.
-Graph from_json(const std::string& text);
-
-/// "src dst" per line, suitable for external graph tooling.
-std::string to_edge_list(const Graph& g);
 
 }  // namespace syn::graph

@@ -18,14 +18,6 @@ std::string ValidationReport::to_string() const {
   return out;
 }
 
-bool node_fanins_valid(const Graph& g, NodeId id) {
-  for (NodeId p : g.fanins(id)) {
-    if (p == kNoNode) return false;
-    if (is_sink(g.type(p))) return false;
-  }
-  return true;
-}
-
 ValidationReport validate(const Graph& g) {
   ValidationReport report;
   bool any_output = false;

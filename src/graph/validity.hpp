@@ -32,8 +32,4 @@ ValidationReport validate(const Graph& g);
 /// Fast boolean form of validate().
 bool is_valid(const Graph& g);
 
-/// C1 check for one node: all slots connected and no slot driven by an
-/// output port.
-bool node_fanins_valid(const Graph& g, NodeId id);
-
 }  // namespace syn::graph

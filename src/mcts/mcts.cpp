@@ -139,23 +139,13 @@ class StateScorer {
   /// The reward of a search state, through Reward::score. For a keyed
   /// reward, `observe` must have seen `g` as it stands.
   double score(const Graph& g) {
-    return memoized([&] { return reward_.score(g); });
-  }
-  /// The reward of a tree's start state, through the scalar function
-  /// (bitwise equal to score(), per the Reward contract).
-  double score_start(const Graph& g) {
-    return memoized([&] { return reward_(g); });
-  }
-
- private:
-  template <typename Compute>
-  double memoized(const Compute& compute) {
-    if (!keyed()) return compute();
+    if (!keyed()) return reward_.score(g);
     const auto [it, inserted] = memo_.try_emplace(mask_, 0.0);
-    if (inserted) it->second = compute();
+    if (inserted) it->second = reward_.score(g);
     return it->second;
   }
 
+ private:
   const Reward& reward_;
   Mask mask_;
   std::vector<NodeId> work_;
@@ -202,7 +192,7 @@ Graph optimize_cone(const Graph& start, NodeId reg, const MctsConfig& config,
   TreeNode root;
   seed_actions(root, g, scorer.observe(g), cone_pool, global_pool, config,
                rng);
-  root.reward = scorer.score_start(g);
+  root.reward = scorer.score(g);
 
   Graph best_state = start;
   double best_reward = root.reward;
@@ -224,13 +214,14 @@ Graph optimize_cone(const Graph& start, NodeId reg, const MctsConfig& config,
     int depth = 0;
     while (node->untried.empty() && !node->children.empty() &&
            depth < config.max_depth) {
+      constexpr double kExploration = 1.4142135623730951;  // sqrt(2), UCB1
       TreeNode* chosen = nullptr;
       double best_ucb = -1e300;
       for (const auto& child : node->children) {
         const double mean =
             child->visits > 0 ? child->q_sum / child->visits : 0.0;
         const double explore =
-            config.exploration *
+            kExploration *
             std::sqrt(std::log(static_cast<double>(node->visits) + 1.0) /
                       (static_cast<double>(child->visits) + 1e-9));
         const double ucb = mean + explore;
@@ -323,7 +314,7 @@ Graph random_optimize(const Graph& gval, const MctsConfig& config,
   const std::vector<NodeId> pool = swap_candidates(gval, all_nodes);
   Graph current = gval;
   Graph best = gval;
-  double best_reward = reward(gval);
+  double best_reward = reward.score(gval);
   if (pool.size() < 2) return best;
   for (int sim = 0; sim < config.simulations; ++sim) {
     const SwapAction action = random_action(current, pool, pool, {}, rng);

@@ -45,7 +45,6 @@ namespace syn::mcts {
 struct MctsConfig {
   int simulations = 500;  // paper: 500 per register cone
   int max_depth = 10;     // paper: 10
-  double exploration = 1.4142135623730951;  // sqrt(2), UCB1
   int actions_per_state = 12;  // candidate swaps sampled per tree node
   /// Optimize at most this many register cones (-1 = all), largest
   /// driving cones first.
@@ -110,7 +109,6 @@ class Reward {
   /// one when there is one (the fused path), else the scalar function.
   [[nodiscard]] double score(const graph::Graph& g) const;
 
-  [[nodiscard]] bool defined() const { return static_cast<bool>(single_); }
   [[nodiscard]] bool keyed_by_observability() const {
     return keyed_by_observability_;
   }

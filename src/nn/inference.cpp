@@ -30,12 +30,6 @@ float* InferenceArena::alloc(std::size_t count) {
   return slabs_.back().get();
 }
 
-float* InferenceArena::alloc_zero(std::size_t count) {
-  float* p = alloc(count);
-  std::fill(p, p + count, 0.0f);
-  return p;
-}
-
 std::size_t InferenceArena::capacity_floats() const {
   std::size_t total = 0;
   for (const std::size_t s : slab_floats_) total += s;

@@ -72,8 +72,6 @@ class InferenceArena {
   /// Uninitialized `count` floats, 64-byte aligned, valid until the next
   /// reset()/rewind() past this allocation.
   float* alloc(std::size_t count);
-  /// Same, zero-filled.
-  float* alloc_zero(std::size_t count);
 
   [[nodiscard]] Mark mark() const { return {slab_, offset_}; }
   void rewind(Mark m) {

@@ -54,8 +54,7 @@ GruCell::GruCell(std::size_t input, std::size_t hidden, util::Rng& rng)
       xr_(input, hidden, rng),
       hr_(hidden, hidden, rng),
       xn_(input, hidden, rng),
-      hn_(hidden, hidden, rng),
-      hidden_size_(hidden) {}
+      hn_(hidden, hidden, rng) {}
 
 Tensor GruCell::forward(const Tensor& x, const Tensor& h) const {
   const Tensor z = sigmoid(add(xz_.forward(x), hz_.forward(h)));

@@ -22,11 +22,6 @@ class Module {
     collect_parameters(out);
     return out;
   }
-  [[nodiscard]] std::size_t num_parameters() const {
-    std::size_t n = 0;
-    for (const auto& p : parameters()) n += p.value().size();
-    return n;
-  }
 };
 
 /// y = x W + b.
@@ -77,7 +72,6 @@ class GruCell : public Module {
 
   /// x: B x input, h: B x hidden -> B x hidden.
   [[nodiscard]] Tensor forward(const Tensor& x, const Tensor& h) const;
-  [[nodiscard]] std::size_t hidden_size() const { return hidden_size_; }
   void collect_parameters(std::vector<Tensor>& out) const override;
 
   /// Per-gate affine layers, for fused inference kernels that pack the
@@ -91,7 +85,6 @@ class GruCell : public Module {
 
  private:
   Linear xz_, hz_, xr_, hr_, xn_, hn_;
-  std::size_t hidden_size_ = 0;
 };
 
 /// Sinusoidal time-step embedding (1 x dim) as used to condition the

@@ -25,7 +25,6 @@ class Adam {
   void zero_grad();
   void step();
   [[nodiscard]] const Options& options() const { return options_; }
-  void set_lr(double lr) { options_.lr = lr; }
 
  private:
   std::vector<Tensor> params_;

@@ -345,137 +345,6 @@ Graph make_arbiter(int n, const std::string& name) {
   return b.take();
 }
 
-Graph make_gray_counter(int width, const std::string& name) {
-  Builder b(name);
-  const NodeId en = b.input(1);
-  const NodeId cnt = b.reg(width);
-  const NodeId one = b.constant(width, 1);
-  const NodeId inc = b.add(cnt, one);
-  b.drive_reg(cnt, b.mux(en, inc, cnt));
-  // Binary-to-gray: g = b ^ (b >> 1).
-  const NodeId shifted = b.bits(cnt, 1, width);
-  const NodeId gray = b.xor_(cnt, shifted);
-  const NodeId gray_r = b.reg(width);
-  b.drive_reg(gray_r, gray);
-  b.output(gray_r);
-  b.output(cnt);
-  return b.take();
-}
-
-Graph make_johnson_counter(int stages, const std::string& name) {
-  Builder b(name);
-  const NodeId en = b.input(1);
-  std::vector<NodeId> ring(static_cast<std::size_t>(stages));
-  for (auto& r : ring) r = b.reg(1);
-  const NodeId feedback = b.not_(ring.back());
-  b.drive_reg(ring[0], b.mux(en, feedback, ring[0]));
-  for (int i = 1; i < stages; ++i) {
-    b.drive_reg(ring[static_cast<std::size_t>(i)],
-                b.mux(en, ring[static_cast<std::size_t>(i - 1)],
-                      ring[static_cast<std::size_t>(i)]));
-  }
-  // One-hot-phase decode on two taps plus the raw ring ends.
-  b.output(b.and_(ring.front(), b.not_(ring.back())));
-  b.output(ring.back());
-  return b.take();
-}
-
-Graph make_priority_encoder(int n, const std::string& name) {
-  Builder b(name);
-  const int out_bits = clog2(n);
-  std::vector<NodeId> req(static_cast<std::size_t>(n));
-  for (auto& r : req) r = b.input(1);
-  // index = highest set line (descending mux chain); valid = OR of all.
-  NodeId valid = req[0];
-  for (int i = 1; i < n; ++i) {
-    valid = b.or_(valid, req[static_cast<std::size_t>(i)]);
-  }
-  NodeId index = b.constant(out_bits, 0);
-  for (int i = 0; i < n; ++i) {
-    index = b.mux(req[static_cast<std::size_t>(i)],
-                  b.constant(out_bits, static_cast<std::uint32_t>(i)), index);
-  }
-  const NodeId index_r = b.reg(out_bits);
-  const NodeId valid_r = b.reg(1);
-  b.drive_reg(index_r, index);
-  b.drive_reg(valid_r, valid);
-  b.output(index_r);
-  b.output(valid_r);
-  return b.take();
-}
-
-Graph make_barrel_shifter(int width, const std::string& name) {
-  Builder b(name);
-  const int amt_bits = clog2(width);
-  const NodeId data = b.input(width);
-  const NodeId amount = b.input(amt_bits);
-  NodeId stage = data;
-  for (int s = 0; s < amt_bits; ++s) {
-    const int shift = 1 << s;
-    // Left shift by `shift`: {stage, zeros} via concat + width truncation.
-    const NodeId zeros = b.constant(shift, 0);
-    const NodeId shifted = b.concat(stage, zeros, width);
-    stage = b.mux(b.bit(amount, s), shifted, stage);
-  }
-  const NodeId out_r = b.reg(width);
-  b.drive_reg(out_r, stage);
-  b.output(out_r);
-  return b.take();
-}
-
-Graph make_hamming_encoder(int nibbles, const std::string& name) {
-  Builder b(name);
-  const NodeId data = b.input(4 * nibbles);
-  std::vector<NodeId> coded;
-  for (int k = 0; k < nibbles; ++k) {
-    const NodeId d0 = b.bit(data, 4 * k);
-    const NodeId d1 = b.bit(data, 4 * k + 1);
-    const NodeId d2 = b.bit(data, 4 * k + 2);
-    const NodeId d3 = b.bit(data, 4 * k + 3);
-    const NodeId p1 = b.xor_(b.xor_(d0, d1), d3);
-    const NodeId p2 = b.xor_(b.xor_(d0, d2), d3);
-    const NodeId p3 = b.xor_(b.xor_(d1, d2), d3);
-    const NodeId lo = b.concat(p2, p1, 2);
-    const NodeId mid = b.concat(d0, lo, 3);
-    const NodeId hi = b.concat(p3, mid, 4);
-    const NodeId r = b.reg(4);
-    b.drive_reg(r, hi);
-    coded.push_back(r);
-  }
-  NodeId word = coded[0];
-  int w = 4;
-  for (std::size_t k = 1; k < coded.size(); ++k) {
-    w += 4;
-    word = b.concat(coded[k], word, w);
-  }
-  b.output(word);
-  return b.take();
-}
-
-Graph make_debouncer(int div_bits, const std::string& name) {
-  Builder b(name);
-  const NodeId raw = b.input(1);
-  // Divider strobe.
-  const NodeId div = b.reg(div_bits);
-  const NodeId one = b.constant(div_bits, 1);
-  b.drive_reg(div, b.add(div, one));
-  const NodeId strobe = b.eq(div, b.constant(div_bits, 0));
-  // Three-sample shift on the strobe + majority vote.
-  std::vector<NodeId> taps(3);
-  for (auto& t : taps) t = b.reg(1);
-  b.drive_reg(taps[0], b.mux(strobe, raw, taps[0]));
-  b.drive_reg(taps[1], b.mux(strobe, taps[0], taps[1]));
-  b.drive_reg(taps[2], b.mux(strobe, taps[1], taps[2]));
-  const NodeId maj = b.or_(b.or_(b.and_(taps[0], taps[1]),
-                                 b.and_(taps[1], taps[2])),
-                           b.and_(taps[0], taps[2]));
-  const NodeId clean = b.reg(1);
-  b.drive_reg(clean, maj);
-  b.output(clean);
-  b.output(strobe);
-  return b.take();
-}
-
 namespace {
 
 /// Small in-order CPU-like core: register file feeding an ALU feeding a

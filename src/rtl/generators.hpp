@@ -54,30 +54,6 @@ graph::Graph make_register_file(int num_regs, int width,
 /// Round-robin arbiter over `n` requesters with grant registers.
 graph::Graph make_arbiter(int n, const std::string& name = "arbiter");
 
-/// Gray-code counter (binary counter + binary-to-gray converter).
-graph::Graph make_gray_counter(int width,
-                               const std::string& name = "gray_cnt");
-
-/// Johnson (twisted-ring) counter of `stages` 1-bit stages.
-graph::Graph make_johnson_counter(int stages,
-                                  const std::string& name = "johnson");
-
-/// Priority encoder over `n` request lines with a valid flag, registered.
-graph::Graph make_priority_encoder(int n,
-                                   const std::string& name = "prio_enc");
-
-/// Barrel shifter: logarithmic mux stages, registered output.
-graph::Graph make_barrel_shifter(int width,
-                                 const std::string& name = "barrel");
-
-/// Hamming(7,4)-style parity encoder over `nibbles` input nibbles.
-graph::Graph make_hamming_encoder(int nibbles,
-                                  const std::string& name = "hamming");
-
-/// Clock divider + debouncer pair (divider strobe gates a majority vote).
-graph::Graph make_debouncer(int div_bits,
-                            const std::string& name = "debounce");
-
 // --- corpus ----------------------------------------------------------------
 
 /// One named design plus its provenance family, mirroring Table I rows.

@@ -42,10 +42,6 @@ std::uint64_t Simulator::mask_of(NodeId id) const {
   return w >= 64 ? ~0ULL : ((1ULL << w) - 1ULL);
 }
 
-void Simulator::reset() {
-  for (NodeId r : regs_) values_[r] = 0;
-}
-
 std::vector<std::uint64_t> Simulator::step(
     const std::vector<std::uint64_t>& inputs) {
   if (inputs.size() != inputs_.size()) {

@@ -1,13 +1,10 @@
 // Cycle-accurate word-level simulator for circuit DCGs.
 //
-// Complements the bit-level netlist simulator used in the synthesis tests:
-// generated designs can be functionally exercised at the RTL level (e.g.
-// to check that a synthetic circuit actually computes something), and the
-// pair (word-level, bit-level) gives an end-to-end elaboration
-// equivalence check.
+// Runs a design at the RTL level, beside the bit-level netlist simulator
+// of the synthesis tests. Its tests check that corpus generators (counter,
+// ALU, FIFO controller) compute what they claim.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,28 +19,10 @@ class Simulator {
  public:
   explicit Simulator(graph::Graph g);
 
-  /// Number of primary inputs (in node-id order).
-  [[nodiscard]] std::size_t num_inputs() const { return inputs_.size(); }
-  [[nodiscard]] std::size_t num_outputs() const { return outputs_.size(); }
-  [[nodiscard]] const std::vector<graph::NodeId>& input_ids() const {
-    return inputs_;
-  }
-  [[nodiscard]] const std::vector<graph::NodeId>& output_ids() const {
-    return outputs_;
-  }
-
-  /// Advances one clock cycle with the given input words (clamped to each
-  /// input's width); returns the output port values.
+  /// Advances one clock cycle with one input word per primary input, in
+  /// node-id order (clamped to each input's width); returns the output port
+  /// values in node-id order.
   std::vector<std::uint64_t> step(const std::vector<std::uint64_t>& inputs);
-
-  /// Current value of any node (combinational values are from the last
-  /// step() call).
-  [[nodiscard]] std::uint64_t value(graph::NodeId id) const {
-    return values_[id];
-  }
-
-  /// Resets all registers to zero.
-  void reset();
 
  private:
   [[nodiscard]] std::uint64_t mask_of(graph::NodeId id) const;

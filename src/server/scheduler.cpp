@@ -55,12 +55,7 @@ JobScheduler::JobScheduler() : JobScheduler(Options{}) {}
 
 JobScheduler::JobScheduler(Options options) : options_(options) {
   if (options_.max_concurrent == 0) options_.max_concurrent = 1;
-  if (options_.pool) {
-    pool_ = options_.pool;
-  } else {
-    owned_pool_ = std::make_unique<util::ThreadPool>(options_.max_concurrent);
-    pool_ = owned_pool_.get();
-  }
+  pool_ = std::make_unique<util::ThreadPool>(options_.max_concurrent);
 }
 
 JobScheduler::~JobScheduler() { shutdown(false); }
@@ -319,16 +314,6 @@ void JobScheduler::shutdown(bool drain) {
     }
     return true;
   });
-}
-
-std::size_t JobScheduler::running_jobs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return running_;
-}
-
-std::size_t JobScheduler::queued_jobs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queued_total_;
 }
 
 std::size_t JobScheduler::tracked_jobs() const {

@@ -1,12 +1,11 @@
 // JobScheduler: the daemon's multi-client job queue.
 //
 // Clients submit opaque job bodies; the scheduler runs up to
-// `max_concurrent` of them at once on a util::ThreadPool (shared or
-// owned) and picks the next job fair-share round-robin ACROSS clients —
-// a client that dumps 50 jobs into the queue cannot starve a client that
-// submitted one, because dispatch rotates between clients with pending
-// work, not through a global FIFO. Within one client, jobs run in
-// submission order.
+// `max_concurrent` of them at once on a util::ThreadPool it owns and picks
+// the next job fair-share round-robin ACROSS clients — a client that dumps
+// 50 jobs into the queue cannot starve a client that submitted one,
+// because dispatch rotates between clients with pending work, not through
+// a global FIFO. Within one client, jobs run in submission order.
 //
 // Lifecycle:   queued -> running -> done | failed | cancelled
 // Cancel of a queued job removes it without running; cancel of a running
@@ -146,11 +145,6 @@ class JobScheduler {
     /// "dispatch_ms") and job duration (running -> terminal, "job_ms")
     /// are observed here. Must outlive the scheduler.
     MetricsRegistry* metrics = nullptr;
-    /// Shared execution substrate; null = the scheduler owns a pool of
-    /// max_concurrent workers. Job bodies must not submit work to this
-    /// same pool (they'd deadlock a fully-busy pool); model-internal
-    /// pools are separate and fine.
-    util::ThreadPool* pool = nullptr;
     /// Invoked exactly once per job, after its terminal state became
     /// visible to info()/wait() — so anything the callback publishes
     /// (e.g. the daemon's terminal stream event) happens-after the state
@@ -160,9 +154,9 @@ class JobScheduler {
   };
 
   explicit JobScheduler(Options options);
-  /// Default options (one slot, owned pool). A separate constructor
-  /// because a nested struct's member initializers cannot appear in a
-  /// default argument before the enclosing class is complete.
+  /// Default options (one slot). A separate constructor because a nested
+  /// struct's member initializers cannot appear in a default argument
+  /// before the enclosing class is complete.
   JobScheduler();
   /// shutdown(drain=false) + wait.
   ~JobScheduler();
@@ -193,8 +187,6 @@ class JobScheduler {
   /// body is running. Idempotent (the first call's drain mode wins).
   void shutdown(bool drain);
 
-  [[nodiscard]] std::size_t running_jobs() const;
-  [[nodiscard]] std::size_t queued_jobs() const;
   /// Total jobs the scheduler still tracks (all states, pre-GC).
   [[nodiscard]] std::size_t tracked_jobs() const;
 
@@ -236,8 +228,7 @@ class JobScheduler {
   void settle_locked(Job& job, JobState outcome, std::string error);
 
   Options options_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_;
+  std::unique_ptr<util::ThreadPool> pool_;  // max_concurrent workers
 
   mutable std::mutex mutex_;
   std::condition_variable changed_;

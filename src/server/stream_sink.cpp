@@ -1,6 +1,5 @@
 #include "server/stream_sink.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -19,13 +18,9 @@ StreamingManifestSink::StreamingManifestSink(Options options, Emit emit)
 }
 
 void StreamingManifestSink::write(const service::DesignRecord& record) {
-  std::string file = record.graph.name() + ".v";
-  if (options_.shard_size > 0) {
-    char shard[16];
-    std::snprintf(shard, sizeof(shard), "shard_%04zu",
-                  record.index / options_.shard_size);
-    file = std::string(shard) + "/" + file;
-  }
+  std::string file = service::shard_dir(record.index, options_.shard_size);
+  if (!file.empty()) file += '/';
+  file += record.graph.name() + ".v";
   Json event;
   event.set("event", "record");
   event.set("id", options_.job_id);

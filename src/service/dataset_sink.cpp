@@ -224,6 +224,13 @@ void write_dataset_checkpoint(const std::filesystem::path& dir,
   throw_unless_written(out, path);
 }
 
+std::string shard_dir(std::size_t index, std::size_t shard_size) {
+  if (shard_size == 0) return {};
+  char name[16];
+  std::snprintf(name, sizeof(name), "shard_%04zu", index / shard_size);
+  return name;
+}
+
 void write_dataset_summary(const std::filesystem::path& dir,
                            const DatasetSummary& summary,
                            std::size_t shard_size) {
@@ -261,16 +268,9 @@ ShardedDiskSink::ShardedDiskSink(Options options)
 
 ShardedDiskSink::~ShardedDiskSink() = default;
 
-std::filesystem::path ShardedDiskSink::shard_dir(std::size_t index) const {
-  if (options_.shard_size == 0) return {};
-  char name[16];
-  std::snprintf(name, sizeof(name), "shard_%04zu",
-                index / options_.shard_size);
-  return name;
-}
-
 void ShardedDiskSink::write(const DesignRecord& record) {
-  const std::filesystem::path shard = shard_dir(record.index);
+  const std::filesystem::path shard =
+      shard_dir(record.index, options_.shard_size);
   if (!shard.empty()) {
     std::filesystem::create_directories(options_.dir / shard);
   }

@@ -79,6 +79,12 @@ void write_dataset_checkpoint(const std::filesystem::path& dir,
                               std::uint64_t seed, std::size_t shard_size,
                               std::size_t next);
 
+/// Shard subdirectory, relative to the dataset dir, of design `index`:
+/// "shard_NNNN" for shard index / shard_size, zero-padded to four digits;
+/// empty when shard_size is 0 (sharding off). ShardedDiskSink writes each
+/// design there, and stream records name the same path in their `file`.
+[[nodiscard]] std::string shard_dir(std::size_t index, std::size_t shard_size);
+
 /// Writes `dir`/manifest.json, the run summary of a finished dataset.
 /// Throws std::runtime_error when the file cannot be written.
 void write_dataset_summary(const std::filesystem::path& dir,
@@ -158,10 +164,6 @@ class ShardedDiskSink final : public DatasetSink {
   void write(const DesignRecord& record) override;
   void checkpoint(std::size_t next) override;
   void finalize(const DatasetSummary& summary) override;
-
-  /// Shard subdirectory (relative to dir) for a design index; empty when
-  /// sharding is off.
-  [[nodiscard]] std::filesystem::path shard_dir(std::size_t index) const;
 
  private:
   Options options_;
